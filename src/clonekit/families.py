@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtrc
 
 from .lawdist import EmpiricalLaw
 
@@ -275,7 +275,8 @@ class Poisson(Family):
         k = np.arange(hi + 1)
         logp = k * math.log(lam) - lam - gammaln(k + 1.0)
         p = np.exp(logp)
-        tail = 1.0 - p.sum()
+        # the true mass beyond hi; 1 - p.sum() would measure rounding error
+        tail = pdtrc(hi, lam)
         if tail > _POISSON_TAIL:
             raise RuntimeError(f"statistic law truncation left mass {tail}")
         return EmpiricalLaw(k, p / p.sum())

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.special import gammainc
 
 CLOSED_FORM = "closed_form"
 QUADRATURE = "quadrature"
@@ -106,59 +107,14 @@ class GaussianShift:
 def chi2_cdf(m: int, t: float) -> float:
     """Chi-square CDF with ``m`` degrees of freedom at ``t``.
 
-    Computed as the regularized lower incomplete gamma P(m/2, t/2); series
-    expansion below ``t = m + 1``, continued fraction above, both iterated to
-    an absolute tolerance of 1e-12.
+    The regularized lower incomplete gamma P(m/2, t/2), from
+    ``scipy.special.gammainc``.
     """
     if m < 1 or int(m) != m:
         raise ValueError(f"degrees of freedom must be a positive integer, got {m}")
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    if t == 0.0:
-        return 0.0
-    a = 0.5 * m
-    x = 0.5 * t
-    if t < m + 1:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    # P(a, x) = x^a e^-x / Gamma(a) * sum_k x^k / (a (a+1) ... (a+k))
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(10000):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < 1e-16 * abs(total) + 1e-300:
-            break
-    return total * math.exp(a * math.log(x) - x - math.lgamma(a))
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    # Q(a, x) via Lentz's continued fraction, stable for x > a-ish.
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    f = d
-    for i in range(1, 10000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return f * math.exp(a * math.log(x) - x - math.lgamma(a))
+    return float(gammainc(0.5 * m, 0.5 * t))
 
 
 def crossing_radius_sq(r: float, m: int) -> float:

@@ -164,6 +164,21 @@ class TestOtherExperiments:
         body = out.read_text()
         assert "loss" in body and "reference" in body
 
+    def test_clone_sim_poisson_large_n(self, tmp_path):
+        # rn * theta = 25 600: the statistic law must not raise a false
+        # truncation alarm
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(
+            "[clone-sim]\nfamily = poisson\ntheta = 2\nn_grid = 6400\n"
+            "reps = 5\nbootstrap = 5\n"
+        )
+        out = tmp_path / "c.csv"
+        code = run_cli([
+            "clone-sim", "--config", str(ini), "--seed", "4", "--out", str(out),
+        ])
+        assert code == 0
+        assert "loss" in out.read_text()
+
     def test_lan_diag_smoke(self, tmp_path):
         ini = tmp_path / "cfg.ini"
         ini.write_text("[lan-diag]\nn_grid = 25, 100\nreps = 200\n")

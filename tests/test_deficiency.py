@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
 from clonekit import (
     ConfigurationError,
@@ -24,6 +26,7 @@ from clonekit import (
     lp_deficiency,
     tv_isotropic,
 )
+from clonekit.deficiency import _priced_solve
 
 TV_2_1 = 0.3321281500
 
@@ -31,6 +34,56 @@ TV_2_1 = 0.3321281500
 def experiment(rows):
     rows = np.asarray(rows, dtype=float)
     return FiniteExperiment(params=tuple(range(rows.shape[0])), probs=rows)
+
+
+def unreduced_value(source, target):
+    """Optimum of the deficiency LP over every kernel entry, by HiGHS simplex.
+
+    The formulation `lp_deficiency` used before it solved on a band: kernel
+    entries in column-major blocks per input, absolute-deviation slacks,
+    and the objective variable last.
+    """
+    p = source.n_params
+    k_in = source.n_outcomes
+    k_out = target.n_outcomes
+    n_l = k_in * k_out
+    n_e = p * k_out
+    n_var = n_l + n_e + 1
+    a_eq = sparse.csr_matrix(
+        (np.ones(n_l), (np.repeat(np.arange(k_in), k_out), np.arange(n_l))),
+        shape=(k_in, n_var),
+    )
+    blocks = []
+    rhs = []
+    eye_out = sparse.eye(k_out, format="csr")
+    for t in range(p):
+        m_t = sparse.kron(sparse.csr_matrix(source.probs[t][None, :]), eye_out)
+        e_t = sparse.hstack([
+            sparse.csr_matrix((k_out, t * k_out)),
+            -eye_out,
+            sparse.csr_matrix((k_out, n_e - (t + 1) * k_out)),
+        ])
+        zero_t = sparse.csr_matrix((k_out, 1))
+        blocks.append(sparse.hstack([m_t, e_t, zero_t]))
+        rhs.append(target.probs[t])
+        blocks.append(sparse.hstack([-m_t, e_t, zero_t]))
+        rhs.append(-target.probs[t])
+    blocks.append(sparse.hstack([
+        sparse.csr_matrix((p, n_l)),
+        sparse.kron(sparse.eye(p, format="csr"), np.ones((1, k_out))),
+        sparse.csr_matrix(-np.ones((p, 1))),
+    ]))
+    rhs.append(np.zeros(p))
+    cost = np.zeros(n_var)
+    cost[-1] = 1.0
+    res = linprog(
+        cost, A_ub=sparse.vstack(blocks, format="csr"), b_ub=np.concatenate(rhs),
+        A_eq=a_eq, b_eq=np.ones(k_in), bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-9,
+                 "dual_feasibility_tolerance": 1e-9},
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
 
 
 class TestDataTypes:
@@ -146,6 +199,53 @@ class TestLpDeficiency:
         big = experiment(np.full((1, 250), 1 / 250))
         with pytest.raises(ConfigurationError):
             lp_deficiency(big, big)
+
+    def test_solver_statistics(self):
+        src = experiment([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
+        tgt = experiment([[0.5, 0.5], [0.25, 0.75]])
+        res = lp_deficiency(src, tgt)
+        assert 1 <= res.kernel_vars <= 6
+        assert res.pricing_rounds >= 1
+        assert res.solver_iters >= 0
+
+
+class TestExactBandedLp:
+    """The banded, priced LP reaches the optimum of the unreduced LP."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_unreduced_on_dirichlet(self, seed):
+        rng = np.random.default_rng(seed)
+        p, k_in, k_out = 2 + seed % 3, 6 + seed, 5 + 2 * seed
+        src = experiment(rng.dirichlet(np.ones(k_in), size=p))
+        tgt = experiment(rng.dirichlet(np.ones(k_out), size=p))
+        res = lp_deficiency(src, tgt)
+        assert res.lp_status == "optimal"
+        assert res.value == pytest.approx(unreduced_value(src, tgt), abs=1e-9)
+
+    def test_matches_unreduced_on_gaussian_pair(self):
+        grid = GridSpec(-10, 10, 121)
+        src, tgt = discretize_gaussian_pair([-0.5, 0.0, 0.5], 1.0, 2.0, grid)
+        res = lp_deficiency(src, tgt)
+        assert res.lp_status == "optimal"
+        assert res.kernel_vars < src.n_outcomes * tgt.n_outcomes
+        assert res.value == pytest.approx(unreduced_value(src, tgt), abs=1e-9)
+
+    def test_pricing_grows_a_narrow_mask_to_the_optimum(self):
+        grid = GridSpec(-10, 10, 121)
+        src, tgt = discretize_gaussian_pair([-0.5, 0.0, 0.5], 1.0, 2.0, grid)
+        k_in, k_out = src.n_outcomes, tgt.n_outcomes
+        start = np.eye(k_in, k_out, dtype=bool)
+        res, mask = _priced_solve(src.probs, tgt.probs, start)
+        assert res.pricing_rounds > 1
+        assert res.lp_status == "optimal"
+        assert np.all(mask[start]) and mask.sum() > start.sum()
+        assert res.kernel_vars == mask.sum()
+        assert res.value == pytest.approx(unreduced_value(src, tgt), abs=1e-9)
+        # the kernel lives on the final mask and attains the reported value
+        assert np.all(res.kernel.matrix.T[~mask] == 0.0)
+        assert kernel_objective(res.kernel, src, tgt) == pytest.approx(
+            res.value, abs=1e-7
+        )
 
 
 class TestGaussianDeficiency:

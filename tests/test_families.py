@@ -203,6 +203,14 @@ class TestStatLaw:
         ref = stats.poisson.pmf(law.support, 8 * 1.3)
         assert np.abs(law.mass - ref).sum() < 1e-10
 
+    def test_poisson_large_mean_no_false_truncation_alarm(self):
+        # at lam = 25 600, 1 - sum(pmf) is ~1e-11 of rounding error while the
+        # true tail beyond the support is ~1e-44
+        law = Poisson().stat_pmf(2.0, 12800)
+        assert law.mass.sum() == pytest.approx(1.0, abs=1e-12)
+        mean = float(law.support @ law.mass)
+        assert mean == pytest.approx(25600.0, rel=1e-12)
+
 
 class TestClipping:
     def test_policy(self):
