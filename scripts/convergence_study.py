@@ -22,7 +22,6 @@ def main() -> None:
     parser.add_argument("--n-grid", default="100,200,400,800,1600")
     parser.add_argument("--reps", type=int, default=20_000)
     parser.add_argument("--seed", type=int, default=20260808)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     family = get_family(args.family)
@@ -33,8 +32,7 @@ def main() -> None:
     for n in (int(tok) for tok in args.n_grid.split(",")):
         cfg = ClonerConfig(n=n, r=args.r, delta=args.delta,
                            epsilon=args.epsilon, seed=args.seed)
-        rep = clone_loss_discrete(family, args.theta, cfg, args.reps,
-                                  workers=args.workers)
+        rep = clone_loss_discrete(family, args.theta, cfg, args.reps)
         print(f"{n:6d} {rep.loss:9.4f} {rep.ci_low:9.4f} {rep.ci_high:9.4f} "
               f"{abs(rep.loss - ref):9.4f} {100 * rep.clip_rate:6.2f}")
 

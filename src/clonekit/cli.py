@@ -6,9 +6,10 @@ Usage: ``clonekit <experiment> [--config FILE] [--seed N] [--workers N]
 The config file is INI-style with one section per experiment id; command-line
 flags override file values, file values override built-in defaults.  Every
 report embeds the fully resolved configuration, and all randomness flows
-through counter-based streams keyed by (seed, experiment id, replicate), so
-identical (config, seed) pairs produce byte-identical CSV on one platform
-regardless of worker count.
+through counter-based streams keyed by the seed and the experiment's own
+path, so identical (config, seed) pairs produce byte-identical CSV on one
+platform.  ``--workers`` is accepted and echoed in JSON reports, but every
+experiment runs in one process, so it cannot change a number.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (the
 report, flagged as partial, is still written).
@@ -268,7 +269,7 @@ def _run_clone_sim(cfg: ExperimentConfig):
         )
         rep = cloner.clone_loss_discrete(
             family, theta, run_cfg, int(p["reps"]),
-            bootstrap=int(p["bootstrap"]), workers=cfg.workers,
+            bootstrap=int(p["bootstrap"]),
         )
         rows.append({
             "family": family.name, "theta": theta, "n": n, "rn": rep.rn,
@@ -289,7 +290,7 @@ def _run_minimax_probe(cfg: ExperimentConfig):
     )
     report = cloner.local_minimax_probe(
         family, theta, float(p["a"]), _parse_floats(p["h_grid"]),
-        run_cfg, int(p["reps"]), workers=cfg.workers,
+        run_cfg, int(p["reps"]),
     )
     rows = [
         {

@@ -15,9 +15,13 @@ Pipeline, given n i.i.d. draws from an unknown member of a smooth family:
 
 Output and target share the conditional law given the statistic, so for the
 discrete families the sequence-level L1 distance to the true rn-fold product
-equals the distance between the statistic laws; `clone_loss_discrete`
-exploits this, estimating the output count law by Rao-Blackwellized rounding
-pmfs rather than sampled counts.  As n grows (at fixed delta and epsilon) the
+equals the distance between the statistic laws.  `clone_loss_discrete`
+measures it at the statistic level: stage 1 reads only the sum S1 of the n1
+estimation draws and stages 2-3 only the sum S2 of the n2 scoring draws, so
+each replicate is drawn as (S1, S2, Z) from the statistic laws and the
+smoothing noise, all replicates at once, and the output count law averages
+their Rao-Blackwellized rounding pmfs.  `clone` stays on the scalar path
+that materializes the output.  As n grows (at fixed delta and epsilon) the
 loss approaches the Gaussian amplifier constant at gain ratio
 ``r / (1 - delta)``.
 """
@@ -27,13 +31,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 
 from .families import Family
 from .lan import smoothed_score
-from .lawdist import EmpiricalLaw, mixture_pmf, pmf_l1
 from .streams import stream
 
 logger = logging.getLogger(__name__)
@@ -97,6 +99,22 @@ class CloneRunRecord:
     clipped: bool
 
 
+def _grid_estimate(family: Family, mean, n: int):
+    """The snap of `estimate_theta`, elementwise on sample means over n draws."""
+    mle = family.clip_theta(mean, n)
+    step = 1.0 / math.sqrt(n)
+    lo, hi = family.param_lo, family.param_hi
+    k_min = math.floor(lo / step) + 1 if math.isfinite(lo) else -math.inf
+    k_max = math.ceil(hi / step) - 1 if math.isfinite(hi) else math.inf
+    if k_min > k_max:
+        # no grid point is strictly interior (n = 1 on a bounded domain):
+        # keep the clipped estimate rather than leave the domain
+        return mle
+    # + 0.0 turns ceil's -0.0 into the integer grid index 0
+    k = np.ceil(mle / step - 0.5) + 0.0
+    return np.minimum(np.maximum(k, k_min), k_max) * step
+
+
 def estimate_theta(family: Family, data: np.ndarray) -> Estimate:
     """Grid-snapped maximum likelihood estimate.
 
@@ -110,20 +128,7 @@ def estimate_theta(family: Family, data: np.ndarray) -> Estimate:
     n = data.size
     if n == 0:
         raise ValueError("empty estimation sample")
-    mle = family.clip_theta(float(data.mean()), n)
-    step = 1.0 / math.sqrt(n)
-    k = math.ceil(mle / step - 0.5)
-    lo, hi = family.param_lo, family.param_hi
-    k_min, k_max = -math.inf, math.inf
-    if math.isfinite(lo):
-        k_min = math.floor(lo / step) + 1
-    if math.isfinite(hi):
-        k_max = math.ceil(hi / step) - 1
-    if k_min > k_max:
-        # no grid point is strictly interior (n = 1 on a bounded domain):
-        # keep the clipped estimate rather than leave the domain
-        return Estimate(theta_hat=mle, n_used=n)
-    return Estimate(theta_hat=min(max(k, k_min), k_max) * step, n_used=n)
+    return Estimate(theta_hat=float(_grid_estimate(family, data.mean(), n)), n_used=n)
 
 
 def _target_stat(family: Family, theta_hat: float, rn: int, n2: int,
@@ -194,52 +199,61 @@ class CloneLossReport:
     rn: int
 
 
-def _rounding_atoms(family: Family, rn: int, target: float) -> tuple[
-    tuple[int, int], tuple[float, float], bool
-]:
-    """Conditional output-count pmf given the real target (two atoms)."""
-    nearest = round(target)
-    if abs(target - nearest) < 1e-9 * max(1.0, abs(target)):
-        k0, w1 = int(nearest), 0.0
+def _stat_targets(family: Family, cfg: ClonerConfig, s1, s2, z,
+                  theta_hat: float | None = None) -> np.ndarray:
+    """Real statistic targets of replicates with sums ``s1``, ``s2`` and noise ``z``.
+
+    The array form of `estimate_theta` on the n1 estimation draws (sum
+    ``s1``) followed by `_target_stat` on the scoring draws (sum ``s2``;
+    ``z`` is None when epsilon = 0).  The Fisher scalings of the smoothed
+    score and of its inversion cancel, so only the family mean enters.
+    """
+    if theta_hat is None:
+        that = _grid_estimate(family, s1 / cfg.n1, cfg.n1)
+        n2 = cfg.n2
     else:
-        k0 = math.floor(target)
-        w1 = target - k0
-    k1 = k0 + 1
-    lo, hi = family.stat_bounds(rn)
-
-    def _clip(k: int) -> int:
-        if math.isfinite(lo) and k < lo:
-            return int(lo)
-        if math.isfinite(hi) and k > hi:
-            return int(hi)
-        return k
-
-    k0c, k1c = _clip(k0), _clip(k1)
-    clipped = (k0c != k0 and 1.0 - w1 > 0.0) or (k1c != k1 and w1 > 0.0)
-    return (k0c, k1c), (1.0 - w1, w1), clipped
+        that, n2 = theta_hat, cfg.n
+    mean = family.mean(that)
+    smoothed = (s2 - n2 * mean) / math.sqrt(n2)
+    if z is not None:
+        smoothed = smoothed + math.sqrt(cfg.epsilon) * z
+    return cfg.rn * mean + math.sqrt(cfg.rn) * (math.sqrt(cfg.rn / n2) * smoothed)
 
 
-def _loss_replicates(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    family, theta, cfg, label, theta_hat, start, stop = args
-    atoms = np.empty((stop - start, 2), dtype=np.int64)
-    weights = np.empty((stop - start, 2), dtype=float)
-    clipped = np.zeros(stop - start, dtype=bool)
-    for i, rep in enumerate(range(start, stop)):
-        rng = stream(cfg.seed, "clone-loss", family.name, label, rep)
-        data = family.sample(theta, cfg.n, rng)
-        if theta_hat is None:
-            est = estimate_theta(family, data[: cfg.n1])
-            that, score_data = est.theta_hat, data[cfg.n1:]
-        else:
-            that, score_data = theta_hat, data
-        _, _, target = _target_stat(
-            family, that, cfg.rn, score_data.size, cfg.epsilon, score_data, rng
-        )
-        (k0, k1), (w0, w1), clip = _rounding_atoms(family, cfg.rn, target)
-        atoms[i] = (k0, k1)
-        weights[i] = (w0, w1)
-        clipped[i] = clip
-    return atoms, weights, clipped
+def _rounding_pmf(family: Family, rn: int, target: np.ndarray) -> tuple[
+    np.ndarray, np.ndarray, np.ndarray
+]:
+    """Output-count pmf of `Family.round_stat` given each real target.
+
+    Returns the two clipped atoms ``floor``, ``floor + 1`` and their weights,
+    both of shape (reps, 2), and whether clipping moved an atom of positive
+    weight.  A target within 1e-9 (relative) of an integer is that integer.
+    """
+    nearest = np.round(target)
+    exact = np.abs(target - nearest) < 1e-9 * np.maximum(1.0, np.abs(target))
+    k0 = np.where(exact, nearest, np.floor(target))
+    w1 = np.where(exact, 0.0, target - k0)
+    atoms = np.stack([k0, k0 + 1.0], axis=1)
+    weights = np.stack([1.0 - w1, w1], axis=1)
+    kept = np.clip(atoms, *family.stat_bounds(rn))
+    clipped = ((kept != atoms) & (weights > 0.0)).any(axis=1)
+    return kept.astype(np.int64), weights, clipped
+
+
+def _replicate_atoms(family: Family, theta: float, cfg: ClonerConfig, reps: int,
+                     label: str = "", theta_hat: float | None = None):
+    """Rounding pmfs of ``reps`` replicates drawn at the statistic level.
+
+    One stream per call, keyed by ``(seed, "clone-loss", family, label, n)``,
+    drawn in a fixed order: all S1, then all S2, then all Z.
+    """
+    rng = stream(cfg.seed, "clone-loss", family.name, label, cfg.n)
+    frozen = theta_hat is not None
+    s1 = None if frozen else family.sample_stat(theta, cfg.n1, reps, rng)
+    s2 = family.sample_stat(theta, cfg.n if frozen else cfg.n2, reps, rng)
+    z = rng.standard_normal(reps) if cfg.epsilon > 0.0 else None
+    target = _stat_targets(family, cfg, s1, s2, z, theta_hat)
+    return _rounding_pmf(family, cfg.rn, target)
 
 
 def clone_loss_discrete(
@@ -248,50 +262,40 @@ def clone_loss_discrete(
     cfg: ClonerConfig,
     reps: int,
     bootstrap: int = 200,
-    workers: int = 1,
     label: str = "",
     theta_hat: float | None = None,
 ) -> CloneLossReport:
     """Exact-count-law L1 loss of the cloner, Rao-Blackwellized over rounding.
 
-    Output and target share the conditional law given the count, so the
-    sequence-level L1 distance equals the count-law distance.  Each replicate
-    contributes its two-atom rounding pmf instead of a sampled count, which
-    strictly reduces the variance of the plug-in estimate; a replicate
-    bootstrap supplies the confidence interval.  Replicates draw from
-    independent streams keyed by (seed, replicate), so the result does not
-    depend on ``workers``.
+    Each replicate draws S1 ~ law of S over n1 draws, S2 ~ law of S over n2
+    draws and, for epsilon > 0, Z ~ N(0, 1), all replicates of the call at
+    once on one stream keyed by ``(seed, "clone-loss", family, label, n)``,
+    so replicates at different n draw from different streams.  Each
+    replicate contributes its two-atom rounding pmf instead of a sampled
+    count, which strictly reduces the variance of the plug-in estimate.  The
+    confidence interval is Efron's bootstrap over replicates: each resample
+    reweights them by an exact Multinomial(reps, 1/reps) count vector.
 
-    ``theta_hat`` freezes the estimation stage as in `clone`.
+    ``theta_hat`` freezes the estimation stage as in `clone`: no S1 is
+    drawn and S2 sums all n draws.
     """
     if not family.discrete:
         raise ValueError(f"count-law loss needs a discrete family, got {family.name}")
     if reps < 2:
         raise ValueError("reps must be at least 2")
     family.require_in_domain(theta)
-    bounds = _chunk_bounds(reps, workers)
-    tasks = [(family, theta, cfg, label, theta_hat, a, b) for a, b in bounds]
-    if workers > 1 and len(tasks) > 1:
-        with Pool(workers) as pool:
-            parts = pool.map(_loss_replicates, tasks)
-    else:
-        parts = [_loss_replicates(t) for t in tasks]
-    atoms = np.concatenate([p[0] for p in parts])
-    weights = np.concatenate([p[1] for p in parts])
-    clipped = np.concatenate([p[2] for p in parts])
+    atoms, weights, clipped = _replicate_atoms(family, theta, cfg, reps, label, theta_hat)
 
     target_law = family.stat_pmf(theta, cfg.rn)
-    per_rep = [
-        EmpiricalLaw(np.array([k0, k1]), np.array([w0, w1]), sample_count=1)
-        if w1 > 0.0 and k1 != k0
-        else EmpiricalLaw(np.array([k0]), np.array([1.0]), sample_count=1)
-        for (k0, k1), (w0, w1) in zip(atoms, weights)
-    ]
-    output_law = mixture_pmf([(law, 1.0 / reps) for law in per_rep])
-    loss = pmf_l1(output_law, target_law)
+    lo_k = int(min(atoms.min(), target_law.support.min()))
+    hi_k = int(max(atoms.max(), target_law.support.max()))
+    target_vec = np.zeros(hi_k - lo_k + 1)
+    target_vec[target_law.support - lo_k] = target_law.mass
+    index = (atoms - lo_k).ravel()
+    loss = _count_l1(index, weights.ravel(), target_vec, reps)
 
     ci_low, ci_high = _bootstrap_ci(
-        atoms, weights, target_law, reps, bootstrap,
+        index, weights, target_vec, reps, bootstrap,
         stream(cfg.seed, "clone-loss-boot", family.name, label),
     )
     clip_rate = float(clipped.mean())
@@ -306,28 +310,20 @@ def clone_loss_discrete(
     )
 
 
-def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
-    chunks = max(1, min(workers, total))
-    size = math.ceil(total / chunks)
-    return [(a, min(a + size, total)) for a in range(0, total, size)]
+def _count_l1(index, weights, target_vec, reps) -> float:
+    """L1 distance of the weighted atom mixture (total weight ``reps``) to the target."""
+    pmf = np.bincount(index, weights=weights, minlength=target_vec.size) / reps
+    return float(np.abs(pmf - target_vec).sum())
 
 
-def _bootstrap_ci(atoms, weights, target_law, reps, bootstrap, rng):
+def _bootstrap_ci(index, weights, target_vec, reps, bootstrap, rng):
     if bootstrap < 2:
         return math.nan, math.nan
-    lo_k = int(min(atoms.min(), target_law.support.min()))
-    hi_k = int(max(atoms.max(), target_law.support.max()))
-    width = hi_k - lo_k + 1
-    flat_idx = (atoms - lo_k).ravel()
-    flat_w = weights.ravel()
-    target_vec = np.zeros(width)
-    target_vec[target_law.support - lo_k] = target_law.mass
     losses = np.empty(bootstrap)
     for b in range(bootstrap):
-        mult = rng.multinomial(reps, np.full(reps, 1.0 / reps)).astype(float)
-        w = np.repeat(mult, 2) * flat_w
-        pmf = np.bincount(flat_idx, weights=w, minlength=width) / reps
-        losses[b] = np.abs(pmf - target_vec).sum()
+        # counts of reps uniform picks: exactly Multinomial(reps, 1/reps)
+        mult = np.bincount(rng.integers(0, reps, reps), minlength=reps)
+        losses[b] = _count_l1(index, (weights * mult[:, None]).ravel(), target_vec, reps)
     return float(np.quantile(losses, 0.025)), float(np.quantile(losses, 0.975))
 
 
@@ -347,7 +343,6 @@ def local_minimax_probe(
     h_grid,
     cfg: ClonerConfig,
     reps: int,
-    workers: int = 1,
 ) -> MinimaxProbeReport:
     """Loss at every parameter ``theta + h / sqrt(n)`` with |h| <= a, and the sup.
 
@@ -364,9 +359,7 @@ def local_minimax_probe(
         shifted = theta + h / math.sqrt(cfg.n)
         family.require_in_domain(shifted)
         reports.append(
-            clone_loss_discrete(
-                family, shifted, cfg, reps, workers=workers, label=f"h{i}"
-            )
+            clone_loss_discrete(family, shifted, cfg, reps, label=f"h{i}")
         )
     return MinimaxProbeReport(
         h_grid=hs,

@@ -75,6 +75,8 @@ class FiniteExperiment:
         object.__setattr__(self, "params", tuple(self.params))
         if probs.shape[0] != len(self.params):
             raise ValueError("one pmf row per parameter required")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("non-finite cell mass")
         if np.any(probs < -1e-15):
             raise ValueError("negative cell mass")
         rowsums = probs.sum(axis=1)
@@ -134,7 +136,11 @@ class DeficiencyResult:
     lp_status: str
     kernel_vars: int       # kernel entries in the final LP
     pricing_rounds: int    # LP solves, one per pricing round
-    solver_iters: int      # HiGHS iterations summed over the solves
+    # HiGHS iterations summed over the solves.  scipy's ``nit`` is the simplex
+    # count when HiGHS cleaned up the crossover basis with simplex, else the
+    # interior-point count, and linprog does not expose the other one.
+    simplex_or_ipm_iters: int
+    crossover_iters: int
 
     def __post_init__(self) -> None:
         if self.value < -1e-9:
@@ -304,11 +310,12 @@ def _priced_solve(
     p, k_in = probs_in.shape
     k_out = probs_out.shape[1]
     mask = mask.copy()
-    rounds = iters = 0
+    rounds = iters = crossover_iters = 0
     while True:
         res = _solve_on_mask(probs_in, probs_out, mask)
         rounds += 1
         iters += int(res.nit)
+        crossover_iters += int(res.crossover_nit)
         if res.status == 1:
             status = STATUS_ITERATION_LIMIT
             break
@@ -335,7 +342,8 @@ def _priced_solve(
         lp_status=status,
         kernel_vars=int(mask.sum()),
         pricing_rounds=rounds,
-        solver_iters=iters,
+        simplex_or_ipm_iters=iters,
+        crossover_iters=crossover_iters,
     )
     return result, mask
 

@@ -13,6 +13,11 @@ samplable (arrangements for Bernoulli, multinomial for Poisson, a mean bridge
 for the Gaussian).  Resampling a dataset on its own statistic leaves the
 joint law invariant.
 
+The built-ins are exponential families, density proportional to
+``exp(eta(theta) w - A(theta))``, so every likelihood ratio is a function of
+S as well (`Family.loglr_from_stat`), and the law of S can be sampled
+directly (`Family.sample_stat`) without drawing the n outcomes.
+
 Parameter handling near the boundary: estimates and user inputs are clipped
 to ``[lo + 1/n, hi - 1/n]`` intersected with the domain so that scores and
 inverse Fisher information stay bounded on the working range.
@@ -80,20 +85,20 @@ class Family:
                 f"{self.name}: theta={theta} outside ({self.param_lo}, {self.param_hi})"
             )
 
-    def clip_theta(self, theta: float, n: int) -> float:
+    def clip_theta(self, theta, n: int):
         """Clip into the interior margin [lo + 1/n, hi - 1/n] (where finite).
 
         On bounded domains the margin is capped at a third of the width so
-        the interval stays nonempty for tiny n.
+        the interval stays nonempty for tiny n.  Elementwise on arrays.
         """
         lo, hi = self.param_lo, self.param_hi
         margin = 1.0 / n
         if math.isfinite(lo) and math.isfinite(hi):
             margin = min(margin, (hi - lo) / 3.0)
         if math.isfinite(lo):
-            theta = max(theta, lo + margin)
+            theta = np.maximum(theta, lo + margin)
         if math.isfinite(hi):
-            theta = min(theta, hi - margin)
+            theta = np.minimum(theta, hi - margin)
         return theta
 
     # -- single-outcome quantities ----------------------------------------
@@ -125,7 +130,35 @@ class Family:
     def sample(self, theta: float, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
+    # -- exponential-family form ------------------------------------------
+
+    def natural_param(self, theta: float) -> float:
+        """eta(theta) in the density ``exp(eta(theta) w - A(theta))``."""
+        raise NotImplementedError
+
+    def log_partition(self, theta: float) -> float:
+        """A(theta) in the density ``exp(eta(theta) w - A(theta))``."""
+        raise NotImplementedError
+
+    def loglr_from_stat(self, theta: float, shifted: float, n: int, stat):
+        """Log likelihood ratio of ``shifted`` against ``theta`` over n draws.
+
+        ``(eta(shifted) - eta(theta)) S - n (A(shifted) - A(theta))``, a
+        function of the statistic S alone; elementwise on arrays of S.
+        """
+        self.require_in_domain(theta)
+        self.require_in_domain(shifted)
+        d_eta = self.natural_param(shifted) - self.natural_param(theta)
+        d_a = self.log_partition(shifted) - self.log_partition(theta)
+        return d_eta * stat - n * d_a
+
     # -- sufficient statistic ---------------------------------------------
+
+    def sample_stat(
+        self, theta: float, n: int, size: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """``size`` independent draws of S over samples of size n."""
+        raise NotImplementedError
 
     @staticmethod
     def suff_stat(data: np.ndarray) -> float:
@@ -212,9 +245,19 @@ class Bernoulli(Family):
                        np.where(w == 0.0, math.log1p(-theta), -math.inf))
         return out if out.ndim else float(out)
 
+    def natural_param(self, theta):
+        return math.log(theta) - math.log1p(-theta)
+
+    def log_partition(self, theta):
+        return -math.log1p(-theta)
+
     def sample(self, theta, n, rng):
         self.require_in_domain(theta)
         return (rng.random(n) < theta).astype(np.int64)
+
+    def sample_stat(self, theta, n, size, rng):
+        self.require_in_domain(theta)
+        return rng.binomial(n, theta, size)
 
     def stat_bounds(self, n):
         return (0, n)
@@ -261,9 +304,19 @@ class Poisson(Family):
                        -math.inf)
         return out if out.ndim else float(out)
 
+    def natural_param(self, theta):
+        return math.log(theta)
+
+    def log_partition(self, theta):
+        return theta
+
     def sample(self, theta, n, rng):
         self.require_in_domain(theta)
         return rng.poisson(theta, n).astype(np.int64)
+
+    def sample_stat(self, theta, n, size, rng):
+        self.require_in_domain(theta)
+        return rng.poisson(n * theta, size)
 
     def stat_bounds(self, n):
         return (0, math.inf)
@@ -315,8 +368,17 @@ class GaussianLocation(Family):
         )
         return out if out.ndim else float(out)
 
+    def natural_param(self, theta):
+        return theta / self.sigma**2
+
+    def log_partition(self, theta):
+        return 0.5 * theta * theta / self.sigma**2
+
     def sample(self, theta, n, rng):
         return theta + self.sigma * rng.standard_normal(n)
+
+    def sample_stat(self, theta, n, size, rng):
+        return n * theta + self.sigma * math.sqrt(n) * rng.standard_normal(size)
 
     def conditional_resample(self, theta, n, target_stat, rng):
         # bridge: fresh noise recentered so the sample mean is pinned

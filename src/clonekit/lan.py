@@ -142,19 +142,23 @@ def lan_residual_rate(
 ) -> ExceedanceReport:
     """Monte Carlo residual exceedance probability per sample size.
 
+    The exact and the quadratic log likelihood ratio are both functions of
+    the statistic S (`Family.loglr_from_stat`, `Family.score_from_stat`), so
+    each replicate is one draw of S: per n, ``reps`` draws on the stream
+    keyed by ``(seed, "lan-residual", family, n index)``.
+
     The per-n trend is reported, not enforced: single runs can wiggle, the
     monotone decrease is asserted by the calling tests at their chosen reps.
     """
     n_grid = tuple(int(n) for n in n_grid)
+    j = family.fisher(theta)
     probs, lows, highs = [], [], []
     for gi, n in enumerate(n_grid):
-        exceed = 0
-        for rep in range(reps):
-            rng = stream(seed, "lan-residual", family.name, gi, rep)
-            data = family.sample(theta, n, rng)
-            rep_report = loglik_ratio(family, theta, h, data)
-            if abs(rep_report.residual) > threshold:
-                exceed += 1
+        rng = stream(seed, "lan-residual", family.name, gi)
+        stat = family.sample_stat(theta, n, reps, rng)
+        exact = family.loglr_from_stat(theta, theta + h / math.sqrt(n), n, stat)
+        quad = h * family.score_from_stat(theta, n, stat) - 0.5 * h * h * j
+        exceed = int(np.count_nonzero(np.abs(exact - quad) > threshold))
         lo, hi = wilson_interval(exceed, reps)
         probs.append(exceed / reps)
         lows.append(lo)

@@ -30,6 +30,8 @@ class EmpiricalLaw:
             raise ValueError("empty support")
         if np.any(np.diff(support) <= 0):
             raise ValueError("support must be strictly increasing")
+        if not np.all(np.isfinite(mass)):
+            raise ValueError("non-finite mass")
         if np.any(mass < -1e-15):
             raise ValueError("negative mass")
         total = float(mass.sum())

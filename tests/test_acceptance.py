@@ -8,7 +8,6 @@ the package's counter-based streams, so the suite is deterministic.
 """
 
 import math
-import os
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from clonekit import (
 from clonekit.cli import main as cli_main
 
 SEED = 20260808
-WORKERS = min(4, os.cpu_count() or 1)
 
 # oracle-frozen loss constants (quadrature + erf + MC agreed to 1e-8)
 ORACLE = {(2, 1): 0.3321281500, (4, 1): 0.6453491377,
@@ -154,7 +152,7 @@ def test_criterion_4_achievability_convergence():
         devs, hws = [], []
         for n in (100, 400, 1600):
             cfg = ClonerConfig(n=n, r=2.0, delta=0.05, epsilon=0.01, seed=SEED)
-            rep = clone_loss_discrete(family, theta, cfg, reps=20_000, workers=WORKERS)
+            rep = clone_loss_discrete(family, theta, cfg, reps=20_000)
             devs.append(abs(rep.loss - ref))
             hws.append((rep.ci_high - rep.ci_low) / 2)
         ok &= devs[-1] <= final_tol
@@ -173,7 +171,7 @@ def test_criterion_5_local_minimax():
     cfg = ClonerConfig(n=1600, r=2.0, delta=0.05, epsilon=0.01, seed=SEED)
     probe = local_minimax_probe(
         Bernoulli(), 0.3, 2.0, [-2.0, -1.0, 0.0, 1.0, 2.0], cfg,
-        reps=10_000, workers=WORKERS,
+        reps=10_000,
     )
     bound = ORACLE[(2, 1)] - 0.07
     center = probe.losses[2].loss
@@ -218,9 +216,9 @@ def test_criterion_6_exact_anchors():
     ok_fix = exact_fixed_point and p_value > 0.01
 
     # sequence-level L1 equals count-level L1, enumerated at n=2, rn=4
-    from clonekit.cloner import _loss_replicates
+    from clonekit.cloner import _replicate_atoms
     cfg2 = ClonerConfig(n=2, r=2.0, delta=0.5, epsilon=0.01, seed=SEED)
-    atoms, weights, _ = _loss_replicates((bern, theta, cfg2, "", None, 0, 4000))
+    atoms, weights, _ = _replicate_atoms(bern, theta, cfg2, 4000)
     out_pmf = np.zeros(5)
     for (k0, k1), (w0, w1) in zip(atoms, weights):
         out_pmf[k0] += w0

@@ -17,7 +17,12 @@ from clonekit import (
     stream,
     tv_isotropic,
 )
-from clonekit.cloner import _loss_replicates
+from clonekit.cloner import (
+    _replicate_atoms,
+    _rounding_pmf,
+    _stat_targets,
+    _target_stat,
+)
 
 
 class TestConfig:
@@ -169,12 +174,11 @@ class TestCloneLoss:
         assert rep.ci_low < rep.loss < rep.ci_high
         assert rep.clip_rate < 0.01
 
-    def test_workers_do_not_change_result(self):
+    def test_rerun_gives_identical_report(self):
         cfg = ClonerConfig(n=64, r=2.0, delta=0.1, epsilon=0.01, seed=12)
-        a = clone_loss_discrete(Bernoulli(), 0.4, cfg, reps=400, workers=1)
-        b = clone_loss_discrete(Bernoulli(), 0.4, cfg, reps=400, workers=3)
-        assert a.loss == b.loss
-        assert (a.ci_low, a.ci_high) == (b.ci_low, b.ci_high)
+        a = clone_loss_discrete(Bernoulli(), 0.4, cfg, reps=400)
+        b = clone_loss_discrete(Bernoulli(), 0.4, cfg, reps=400)
+        assert a == b
 
     def test_continuous_family_rejected(self):
         cfg = ClonerConfig(n=16, r=1.0, delta=0.1, epsilon=0.0, seed=13)
@@ -208,9 +212,7 @@ class TestCloneLoss:
             reps = 500
             rep = clone_loss_discrete(fam, theta, cfg, reps=reps, bootstrap=0)
             rb_losses.append(rep.loss)
-            atoms, weights, _ = _loss_replicates(
-                (fam, theta, cfg, "", None, 0, reps)
-            )
+            atoms, weights, _ = _replicate_atoms(fam, theta, cfg, reps)
             target = fam.stat_pmf(theta, cfg.rn)
             rng = stream(cfg.seed, "plugin")
             pick = (rng.random(reps) < weights[:, 1]).astype(int)
@@ -224,6 +226,88 @@ class TestCloneLoss:
         assert np.var(rb_losses) < np.var(plug_losses)
 
 
+class _FixedRng:
+    """Stands in for a Generator with a fixed uniform and a fixed normal draw."""
+
+    def __init__(self, u=0.5, z=0.0):
+        self.u, self.z = u, z
+
+    def random(self):
+        return self.u
+
+    def standard_normal(self):
+        return self.z
+
+
+# (theta, cfg, frozen): estimated; exact-integer targets (r = 1, epsilon = 0,
+# frozen estimate); targets clipped at the bounds (oversized noise, tiny n)
+_AGREEMENT_CASES = [
+    (0.3, ClonerConfig(n=400, r=2.0, delta=0.05, epsilon=0.01, seed=30), False),
+    (0.3, ClonerConfig(n=24, r=1.0, delta=0.05, epsilon=0.0, seed=31), True),
+    (0.5, ClonerConfig(n=2, r=1.0, delta=0.5, epsilon=5.0, seed=32), True),
+    (0.5, ClonerConfig(n=3, r=2.0, delta=0.4, epsilon=5.0, seed=33), False),
+]
+
+
+class TestStatisticLevelAgreement:
+    """The array pipeline of the loss reproduces the scalar one of `clone`."""
+
+    @pytest.mark.parametrize("family", [Bernoulli(), Poisson()], ids=lambda f: f.name)
+    @pytest.mark.parametrize("theta,cfg,frozen", _AGREEMENT_CASES)
+    def test_targets_and_atoms_match_scalar_rule(self, family, theta, cfg, frozen):
+        theta = 2.0 * theta if family.name == "poisson" else theta
+        reps = 300
+        s1, s2 = np.empty(reps, dtype=np.int64), np.empty(reps, dtype=np.int64)
+        z = stream(cfg.seed, "agree-z", family.name).standard_normal(reps)
+        scalar = np.empty(reps)
+        for i in range(reps):
+            data = family.sample(theta, cfg.n, stream(cfg.seed, "agree", family.name, i))
+            if frozen:
+                that, score_data = theta, data
+            else:
+                that = estimate_theta(family, data[: cfg.n1]).theta_hat
+                score_data = data[cfg.n1:]
+            s1[i], s2[i] = data[: cfg.n1].sum(), score_data.sum()
+            scalar[i] = _target_stat(family, that, cfg.rn, score_data.size,
+                                     cfg.epsilon, score_data, _FixedRng(z=z[i]))[2]
+        target = _stat_targets(family, cfg, None if frozen else s1, s2,
+                               z if cfg.epsilon > 0 else None,
+                               theta if frozen else None)
+        np.testing.assert_allclose(target, scalar, rtol=1e-12, atol=0.0)
+
+        atoms, weights, clipped = _rounding_pmf(family, cfg.rn, target)
+        for t, (k0, k1), (w0, w1), clip in zip(scalar, atoms, weights, clipped):
+            # u just below 1 keeps the floor, u = 0 takes the ceiling
+            low, low_clip = family.round_stat(t, cfg.rn, _FixedRng(u=1.0 - 1e-16))
+            high, high_clip = family.round_stat(t, cfg.rn, _FixedRng(u=0.0))
+            assert w0 + w1 == 1.0 and w0 > 0.0
+            assert k0 == low
+            if w1 > 0.0:
+                assert k1 == high
+                assert w1 == pytest.approx(t - math.floor(t), rel=1e-12, abs=1e-12)
+            else:
+                assert high == low
+            assert clip == (low_clip or (w1 > 0.0 and high_clip))
+        if cfg.epsilon == 0.0:
+            # r = 1 at the frozen truth: every target is the integer S2
+            assert np.all(weights[:, 1] == 0.0) and np.all(atoms[:, 0] == s2)
+        if cfg.epsilon == 5.0:
+            assert clipped.any()
+
+    def test_grid_estimate_matches_scalar(self):
+        fam = Bernoulli()
+        for n1 in (1, 5, 50):
+            counts = np.arange(n1 + 1)
+            snapped = [estimate_theta(fam, np.r_[np.ones(k), np.zeros(n1 - k)]).theta_hat
+                       for k in counts]
+            cfg = ClonerConfig(n=4 * n1, r=1.0, delta=0.25, epsilon=0.0, seed=1)
+            assert cfg.n1 == n1
+            # with r = 1, epsilon = 0 and S2 = n2 * theta_hat the target is rn theta_hat
+            s2 = np.array(snapped) * cfg.n2
+            target = _stat_targets(fam, cfg, counts, s2, None)
+            np.testing.assert_allclose(target, np.array(snapped) * cfg.rn, rtol=1e-12)
+
+
 class TestSequenceVsCountLevel:
     def test_brute_force_enumeration(self):
         # n = 2, rn = 4: the output sequence law is uniform given the count,
@@ -231,7 +315,7 @@ class TestSequenceVsCountLevel:
         # to the count-level L1
         fam, theta = Bernoulli(), 0.3
         cfg = ClonerConfig(n=2, r=2.0, delta=0.5, epsilon=0.01, seed=14)
-        rep_atoms, rep_weights, _ = _loss_replicates((fam, theta, cfg, "", None, 0, 4000))
+        rep_atoms, rep_weights, _ = _replicate_atoms(fam, theta, cfg, 4000)
         out_pmf = np.zeros(5)
         for (k0, k1), (w0, w1) in zip(rep_atoms, rep_weights):
             out_pmf[k0] += w0

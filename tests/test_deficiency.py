@@ -93,6 +93,13 @@ class TestDataTypes:
         with pytest.raises(ValueError):
             experiment([[1.2, -0.2]])
 
+    def test_non_finite_mass_rejected(self):
+        # a NaN row passes both the sign and the row-sum comparison
+        with pytest.raises(ValueError, match="non-finite"):
+            FiniteExperiment((0,), [[math.nan, 0.5]])
+        with pytest.raises(ValueError, match="non-finite"):
+            FiniteExperiment((0,), [[math.inf, 0.5]])
+
     def test_kernel_validation(self):
         MarkovKernel(np.array([[0.25, 1.0], [0.75, 0.0]]))
         with pytest.raises(ValueError):
@@ -173,7 +180,7 @@ class TestLpDeficiency:
         res = lp_deficiency(src, tgt)
         # reported optimum equals the objective of the returned kernel
         assert kernel_objective(res.kernel, src, tgt) == pytest.approx(
-            res.value, abs=1e-7
+            res.value, abs=1e-12
         )
 
     def test_relabeling_invariance(self):
@@ -206,7 +213,8 @@ class TestLpDeficiency:
         res = lp_deficiency(src, tgt)
         assert 1 <= res.kernel_vars <= 6
         assert res.pricing_rounds >= 1
-        assert res.solver_iters >= 0
+        assert res.simplex_or_ipm_iters >= 1
+        assert res.crossover_iters >= 0
 
 
 class TestExactBandedLp:
@@ -241,10 +249,12 @@ class TestExactBandedLp:
         assert np.all(mask[start]) and mask.sum() > start.sum()
         assert res.kernel_vars == mask.sum()
         assert res.value == pytest.approx(unreduced_value(src, tgt), abs=1e-9)
-        # the kernel lives on the final mask and attains the reported value
+        # the kernel lives on the final mask and attains the reported value,
+        # up to the tail cells below HiGHS's 1e-9 coefficient cut-off, which
+        # the solver sees as empty (about 2e-9 here)
         assert np.all(res.kernel.matrix.T[~mask] == 0.0)
         assert kernel_objective(res.kernel, src, tgt) == pytest.approx(
-            res.value, abs=1e-7
+            res.value, abs=1e-8
         )
 
 

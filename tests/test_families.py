@@ -203,6 +203,25 @@ class TestStatLaw:
         ref = stats.poisson.pmf(law.support, 8 * 1.3)
         assert np.abs(law.mass - ref).sum() < 1e-10
 
+    @pytest.mark.parametrize(
+        "family,theta,n", [(Bernoulli(), 0.3, 40), (Poisson(), 2.0, 15)],
+        ids=["bernoulli", "poisson"],
+    )
+    def test_sample_stat_follows_stat_law(self, family, theta, n):
+        reps = 20_000
+        draws = family.sample_stat(theta, n, reps, stream(9, "sstat", family.name))
+        law = family.stat_pmf(theta, n)
+        counts = np.bincount(draws, minlength=law.support.size)
+        assert counts.size == law.support.size  # no draw beyond the support
+        assert chi2_gof(counts, law.mass * reps) > 1e-3
+
+    def test_sample_stat_gaussian_moments(self):
+        fam, theta, n, reps = GaussianLocation(1.5), 0.4, 30, 40_000
+        draws = fam.sample_stat(theta, n, reps, stream(9, "sstat-g"))
+        var = n * 1.5**2
+        assert abs(draws.mean() - n * theta) < 4 * math.sqrt(var / reps)
+        assert draws.var() == pytest.approx(var, rel=0.03)
+
     def test_poisson_large_mean_no_false_truncation_alarm(self):
         # at lam = 25 600, 1 - sum(pmf) is ~1e-11 of rounding error while the
         # true tail beyond the support is ~1e-44

@@ -76,6 +76,21 @@ class TestLoglikRatio:
             se = zs.std() / math.sqrt(reps)
             assert abs(zs.mean() - 1.0) < 4 * se
 
+    @pytest.mark.parametrize(
+        "family,theta",
+        [(Bernoulli(), 0.3), (Poisson(), 2.0), (GaussianLocation(1.3), 0.2)],
+        ids=lambda v: getattr(v, "name", str(v)),
+    )
+    def test_statistic_form_matches_data_form(self, family, theta):
+        # the exponential-family form reproduces the sum of log densities
+        for n in (5, 100, 2000):
+            for i, h in enumerate((-0.5, 0.5, 1.5)):
+                data = family.sample(theta, n, stream(12, "stat-lr", family.name, n, i))
+                shifted = theta + h / math.sqrt(n)
+                by_stat = family.loglr_from_stat(theta, shifted, n, data.sum())
+                by_data = loglik_ratio(family, theta, h, data).exact_loglr
+                assert abs(by_stat - by_data) < 1e-9
+
     def test_out_of_domain_shift(self):
         with pytest.raises(ValueError):
             loglik_ratio(Bernoulli(), 0.9, 2.0, np.array([1, 0, 1, 1]))

@@ -32,6 +32,15 @@ class TestPmfL1:
         assert as_tv(2.0) == 1.0
 
 
+class TestValidation:
+    def test_non_finite_mass_rejected(self):
+        # NaN passes both the sign and the sum comparison
+        with pytest.raises(ValueError, match="non-finite"):
+            law([0, 1], [np.nan, 1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            law([0, 1], [np.inf, 1.0])
+
+
 @st.composite
 def lattice_laws(draw):
     size = draw(st.integers(min_value=1, max_value=8))
