@@ -9,14 +9,11 @@ experiments.
 
 from .amplifier import (
     AmplifierLossReport,
-    AmplifierSpec,
-    RotationMatrix,
     amplifier_loss_mc,
     amplify,
     build_rotation,
     expand_to_clones,
     gaussian_clone,
-    optimal_amplifier,
 )
 from .cloner import (
     CloneLossReport,

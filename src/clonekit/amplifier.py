@@ -6,16 +6,18 @@ misses the target only through the excess covariance, with worst-case L1 loss
 ``tv_isotropic(r, m)`` independently of h and S.
 
 One-to-r cloning reduces to amplification through an orthogonal matrix whose
-first row is constant ``1/sqrt(r)`` (`build_rotation`): stacking an amplified
-value with r-1 fresh N(0, S) draws and rotating back (`expand_to_clones`)
-turns an exact N(sqrt(r) h, S) input into exactly i.i.d. N(h, S) clones, so
-the cloning loss equals the amplification loss.
+first row is constant ``1/sqrt(r)`` (`build_rotation`, a Householder
+reflection): stacking an amplified value with r-1 fresh N(0, S) draws and
+reflecting back (`expand_to_clones`) turns an exact N(sqrt(r) h, S) input into
+exactly i.i.d. N(h, S) clones, so the cloning loss equals the amplification
+loss.  `expand_to_clones` and `gaussian_clone` take a leading batch axis:
+inputs of shape ``(..., m)`` give clones of shape ``(..., r, m)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,49 +30,6 @@ from .gaussian import (
 )
 
 
-@dataclass(frozen=True)
-class RotationMatrix:
-    """Orthogonal r x r matrix with first row (1/sqrt(r), ..., 1/sqrt(r))."""
-
-    r: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", entries)
-        if entries.shape != (self.r, self.r):
-            raise ValueError("entries must be r x r")
-        if np.abs(entries @ entries.T - np.eye(self.r)).max() > 1e-12:
-            raise ValueError("matrix is not orthogonal within 1e-12")
-        if np.abs(entries[0] - 1.0 / math.sqrt(self.r)).max() > 1e-12:
-            raise ValueError("first row must be constant 1/sqrt(r)")
-
-
-@dataclass(frozen=True)
-class AmplifierSpec:
-    """The mean-gain amplifier; optimal when ``scale == target_gain``."""
-
-    scale: float
-    target_gain: float = field(default=float("nan"))
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        gain = self.scale if math.isnan(self.target_gain) else self.target_gain
-        if gain < 1.0:
-            raise ValueError("target gain must be >= 1")
-        object.__setattr__(self, "target_gain", float(gain))
-        if self.scale != self.target_gain:
-            raise ValueError("the optimal amplifier is the pure scale map")
-
-
-def optimal_amplifier(r: float) -> AmplifierSpec:
-    """Parameters of the optimal r-amplifier: scale by sqrt(r)."""
-    if r < 1.0:
-        raise ValueError(f"amplification factor must be >= 1, got {r}")
-    return AmplifierSpec(scale=math.sqrt(r), target_gain=math.sqrt(r))
-
-
 def amplify(x: np.ndarray, r: float) -> np.ndarray:
     """Scale map ``sqrt(r) x``; sends N(h, S) to N(sqrt(r) h, r S)."""
     if r < 1.0:
@@ -78,23 +37,26 @@ def amplify(x: np.ndarray, r: float) -> np.ndarray:
     return math.sqrt(r) * np.asarray(x, dtype=float)
 
 
-def build_rotation(r: int) -> RotationMatrix:
-    """Householder reflection with constant first row 1/sqrt(r).
+def _reflection_vector(r: int) -> np.ndarray:
+    """``v = e1 - u`` with u the constant unit vector of length r (zero at r = 1)."""
+    if r < 1 or int(r) != r:
+        raise ValueError(f"clone count must be a positive integer, got {r}")
+    v = np.full(int(r), -1.0 / math.sqrt(r))
+    v[0] += 1.0
+    return v
+
+
+def build_rotation(r: int) -> np.ndarray:
+    """Householder reflection (r x r array) with constant first row 1/sqrt(r).
 
     The reflection through ``v = e1 - u`` (u the constant unit vector) swaps
     e1 and u; being symmetric, its first row equals u.  Deterministic and
     O(r^2), with no orthogonalization drift.
     """
-    if r < 1 or int(r) != r:
-        raise ValueError(f"clone count must be a positive integer, got {r}")
-    r = int(r)
+    v = _reflection_vector(r)
     if r == 1:
-        return RotationMatrix(1, np.eye(1))
-    u = np.full(r, 1.0 / math.sqrt(r))
-    v = -u
-    v[0] += 1.0
-    entries = np.eye(r) - np.outer(v, v) * (2.0 / (v @ v))
-    return RotationMatrix(r, entries)
+        return np.eye(1)
+    return np.eye(len(v)) - np.outer(v, v) * (2.0 / (v @ v))
 
 
 def expand_to_clones(
@@ -104,30 +66,40 @@ def expand_to_clones(
     rng: np.random.Generator,
     noise: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Markov embedding of an amplified value into r clone slots.
+    """Markov embedding of amplified values into r clone slots.
 
-    Stacks ``y`` over r-1 i.i.d. N(0, sigma) draws and applies the inverse
-    rotation per coordinate.  If ``y`` is exactly N(sqrt(r) h, sigma), the
-    output rows are exactly i.i.d. N(h, sigma).  ``noise`` overrides the
-    fresh draws (shape (r-1, m)), for deterministic tests.
+    ``y`` has shape ``(m,)`` or ``(..., m)``; the result has shape ``(r, m)``
+    or ``(..., r, m)``.  Each value is stacked over r-1 i.i.d. N(0, sigma)
+    draws and reflected back by `build_rotation`, applied in closed form.  If
+    ``y`` is exactly N(sqrt(r) h, sigma), the output rows are exactly i.i.d.
+    N(h, sigma).  The fresh draws come in batch order, so a batched call
+    equals one call per input on the same stream.  ``noise`` overrides them
+    (shape ``(..., r-1, m)``), for deterministic tests.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    m = y.shape[0]
-    shift = GaussianShift(np.zeros(m), sigma)  # validates SPD
-    rot = build_rotation(r)
+    v = _reflection_vector(r)
+    r = len(v)
+    m = y.shape[-1]
+    shift = GaussianShift(np.zeros(m), sigma)  # validates SPD, once per call
     if r == 1:
-        return y[None, :].copy()
+        return y[..., None, :].copy()
+    batch = y.shape[:-1]
     if noise is None:
-        noise = shift.sample(r - 1, rng)
-    noise = np.asarray(noise, dtype=float).reshape(r - 1, m)
-    stacked = np.vstack([y[None, :], noise])
-    return rot.entries.T @ stacked
+        noise = shift.sample(math.prod(batch) * (r - 1), rng)
+    noise = np.asarray(noise, dtype=float).reshape(*batch, r - 1, m)
+    stacked = np.concatenate([y[..., None, :], noise], axis=-2)
+    # the reflection is symmetric: it is its own transpose and inverse
+    coef = (v @ stacked) * (2.0 / (v @ v))
+    return stacked - v[:, None] * coef[..., None, :]
 
 
 def gaussian_clone(
     x: np.ndarray, r: int, sigma: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Optimal 1-to-r cloner: amplify, then embed into clone slots."""
+    """Optimal 1-to-r cloner: amplify, then embed into clone slots.
+
+    ``x`` of shape ``(m,)`` or ``(..., m)`` gives ``(r, m)`` or ``(..., r, m)``.
+    """
     return expand_to_clones(amplify(x, r), r, sigma, rng)
 
 

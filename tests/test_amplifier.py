@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from clonekit import (
-    AmplifierSpec,
     GaussianShift,
     amplifier_loss_mc,
     amplify,
     build_rotation,
     expand_to_clones,
     gaussian_clone,
-    optimal_amplifier,
     stream,
     tv_isotropic,
 )
@@ -40,24 +38,18 @@ class TestAmplify:
         assert abs(y.mean() - math.sqrt(2)) < 4 * math.sqrt(2 / 100_000)
         assert abs(y.var() - 2.0) < 4 * 2.0 * math.sqrt(2 / 100_000)
 
-    def test_optimal_amplifier_is_pure_scale(self):
-        amp = optimal_amplifier(4.0)
-        assert amp.scale == amp.target_gain == 2.0
-        with pytest.raises(ValueError):
-            AmplifierSpec(scale=2.0, target_gain=3.0)
-
 
 class TestRotation:
     def test_r_one(self):
-        assert np.allclose(build_rotation(1).entries, [[1.0]])
+        assert np.allclose(build_rotation(1), [[1.0]])
 
     def test_r_two_hadamard(self):
         s = 1 / math.sqrt(2)
-        assert np.allclose(build_rotation(2).entries, [[s, s], [s, -s]], atol=1e-15)
+        assert np.allclose(build_rotation(2), [[s, s], [s, -s]], atol=1e-15)
 
     @pytest.mark.parametrize("r", range(1, 17))
     def test_orthogonal_first_row(self, r):
-        o = build_rotation(r).entries
+        o = build_rotation(r)
         assert np.abs(o @ o.T - np.eye(r)).max() < 1e-12
         assert np.abs(o[0] - 1 / math.sqrt(r)).max() < 1e-12
 
@@ -79,14 +71,38 @@ class TestExpandToClones:
         out = expand_to_clones(y, 2, np.eye(1), stream(0, "e2"), noise=np.zeros((1, 1)))
         assert out == pytest.approx(np.array([[3 / math.sqrt(2)], [3 / math.sqrt(2)]]))
 
+    def test_batch_matches_per_row_calls(self):
+        # one batched call draws the noise in batch order, so it equals one
+        # call per input on the same stream, and the closed-form reflection
+        # equals the explicit rotation matrix
+        sigma = np.array([[2.0, 0.6], [0.6, 1.0]])
+        y = stream(7, "batch-y").standard_normal((4, 5, 2))
+        batched = expand_to_clones(y, 3, sigma, stream(7, "batch-noise"))
+        assert batched.shape == (4, 5, 3, 2)
+        rng = stream(7, "batch-noise")
+        chol = np.linalg.cholesky(sigma)
+        o = build_rotation(3)
+        for idx in np.ndindex(4, 5):
+            noise = rng.standard_normal((2, 2)) @ chol.T
+            explicit = o.T @ np.vstack([y[idx][None, :], noise])
+            assert np.abs(batched[idx] - explicit).max() < 1e-12
+
+    def test_batched_forced_noise_and_r_one(self):
+        y = np.array([[3.0], [-1.0]])
+        out = expand_to_clones(y, 2, np.eye(1), stream(0, "e3"), noise=np.zeros((2, 1, 1)))
+        assert out.shape == (2, 2, 1)
+        assert out[:, :, 0] == pytest.approx(y / math.sqrt(2) * np.ones((2, 2)))
+        assert np.array_equal(expand_to_clones(y, 1, np.eye(1), stream(0, "e4")), y[:, None, :])
+        # an integer-valued float clone count is accepted, as build_rotation does
+        assert np.array_equal(expand_to_clones(y, 2.0, np.eye(1), stream(0, "e5")),
+                              expand_to_clones(y, 2, np.eye(1), stream(0, "e5")))
+
     def test_exactness_moments(self):
         # exact N(sqrt(r) h, sigma) input -> clones i.i.d. N(h, sigma)
         rng = stream(2, "exact")
         h, r, reps = 0.7, 2, 100_000
         y = math.sqrt(r) * h + rng.standard_normal(reps)
-        clones = np.empty((reps, r))
-        for i in range(reps):
-            clones[i] = expand_to_clones(y[i : i + 1], r, np.eye(1), rng)[:, 0]
+        clones = expand_to_clones(y[:, None], r, np.eye(1), rng)[..., 0]
         se = 1 / math.sqrt(reps)
         assert np.abs(clones.mean(axis=0) - h).max() < 4 * se
         assert np.abs(clones.var(axis=0) - 1.0).max() < 4 * math.sqrt(2) * se
@@ -104,9 +120,7 @@ class TestGaussianClone:
         rng = stream(3, "g-mean")
         reps, r = 100_000, 2
         x = 3.0 + rng.standard_normal(reps)
-        clones = np.empty((reps, r))
-        for i in range(reps):
-            clones[i] = gaussian_clone(x[i : i + 1], r, np.eye(1), rng)[:, 0]
+        clones = gaussian_clone(x[:, None], r, np.eye(1), rng)[..., 0]
         se = math.sqrt(1.5 / reps)
         assert np.abs(clones.mean(axis=0) - 3.0).max() < 4 * se
         # per-clone variance 2 - 1/r: rotate diag(r, 1) back by the orthogonal map
@@ -115,7 +129,7 @@ class TestGaussianClone:
 
     def test_rotated_first_coordinate_recovers_amplified_input(self):
         rng = stream(4, "g-rot")
-        o = build_rotation(3).entries
+        o = build_rotation(3)
         x = np.array([0.4])
         clones = gaussian_clone(x, 3, np.eye(1), rng)
         recovered = (o @ clones)[0, 0]
@@ -126,12 +140,10 @@ class TestGaussianClone:
         # where the clone law and the true product law differ
         rng = stream(5, "cd")
         h, s2, r, reps = 1.0, 1.0, 2, 200_000
-        o = build_rotation(r).entries
+        o = build_rotation(r)
         x = h + math.sqrt(s2) * rng.standard_normal(reps)
-        firsts = np.empty(reps)
-        for i in range(reps):
-            clones = gaussian_clone(x[i : i + 1], r, s2 * np.eye(1), rng)
-            firsts[i] = (o @ clones)[0, 0]
+        clones = gaussian_clone(x[:, None], r, s2 * np.eye(1), rng)
+        firsts = (o @ clones)[:, 0, 0]
         p = GaussianShift([math.sqrt(r) * h], [[r * s2]])   # law of the projection
         q = GaussianShift([math.sqrt(r) * h], [[s2]])       # projection of the target
         a = np.maximum(0.0, 1.0 - np.exp(q.log_density(firsts[:, None]) - p.log_density(firsts[:, None])))
