@@ -42,10 +42,8 @@ from .deficiency import (
 from .families import (
     Bernoulli,
     Family,
-    FamilyPoint,
     GaussianLocation,
     Poisson,
-    ScoreReport,
     get_family,
 )
 from .gaussian import (

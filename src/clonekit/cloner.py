@@ -20,10 +20,11 @@ measures it at the statistic level: stage 1 reads only the sum S1 of the n1
 estimation draws and stages 2-3 only the sum S2 of the n2 scoring draws, so
 each replicate is drawn as (S1, S2, Z) from the statistic laws and the
 smoothing noise, all replicates at once, and the output count law averages
-their Rao-Blackwellized rounding pmfs.  `clone` stays on the scalar path
-that materializes the output.  As n grows (at fixed delta and epsilon) the
-loss approaches the Gaussian amplifier constant at gain ratio
-``r / (1 - delta)``.
+their Rao-Blackwellized rounding pmfs.  `clone`, which materializes the
+output, and the statistic-level loss share one target formula
+(`_smoothed_target`), evaluated on one replicate's floats or on arrays of
+replicates.  As n grows (at fixed delta and epsilon) the loss approaches
+the Gaussian amplifier constant at gain ratio ``r / (1 - delta)``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import Family
-from .lan import smoothed_score
 from .streams import stream
 
 logger = logging.getLogger(__name__)
@@ -131,15 +131,25 @@ def estimate_theta(family: Family, data: np.ndarray) -> Estimate:
     return Estimate(theta_hat=float(_grid_estimate(family, data.mean(), n)), n_used=n)
 
 
-def _target_stat(family: Family, theta_hat: float, rn: int, n2: int,
-                 epsilon: float, score_data: np.ndarray,
-                 rng: np.random.Generator) -> tuple[float, float, float]:
-    """Steps 2 and 3 up to the real-valued statistic target."""
-    sm = smoothed_score(family, theta_hat, score_data, epsilon, rng)
-    gain = math.sqrt(rn / n2)
-    amplified = gain * sm.value
-    target = family.stat_from_score(theta_hat, rn, family.fisher(theta_hat) * amplified)
-    return sm.value, amplified, target
+def _smoothed_target(family: Family, theta_hat, n2: int, rn: int, epsilon: float,
+                     s2, z):
+    """Steps 2 and 3 up to the real statistic target, elementwise.
+
+    ``s2`` is the sum of the ``n2`` scoring draws and ``z`` the smoothing
+    noise (None when epsilon = 0).  Returns the smoothed score (J^{-1} times
+    the normalized score, plus ``sqrt(epsilon) z``), its amplification by
+    the gain ``sqrt(rn / n2)``, and the statistic target for ``rn`` outcomes
+    whose inverse-Fisher-scaled score is the amplified value.  The Fisher
+    scalings of the score and of its inversion cancel, so only the family
+    mean enters.  Works on Python floats (`clone`) and on arrays of
+    replicates (`_stat_targets`).
+    """
+    mean = family.mean(theta_hat)
+    smoothed = (s2 - n2 * mean) / math.sqrt(n2)
+    if z is not None:
+        smoothed = smoothed + math.sqrt(epsilon) * z
+    amplified = math.sqrt(rn / n2) * smoothed
+    return smoothed, amplified, rn * mean + math.sqrt(rn) * amplified
 
 
 def clone(
@@ -167,15 +177,17 @@ def clone(
         family.require_in_domain(theta_hat)
         that = float(theta_hat)
         score_data = data
-    smoothed, amplified, target = _target_stat(
-        family, that, cfg.rn, score_data.size, cfg.epsilon, score_data, rng
+    rn, n2 = cfg.rn, score_data.size
+    z = rng.standard_normal() if cfg.epsilon > 0.0 else None
+    smoothed, amplified, target = _smoothed_target(
+        family, that, n2, rn, cfg.epsilon, float(score_data.sum()), z
     )
     clipped = False
     resample_target: float = target
     if family.discrete:
-        t_int, clipped = family.round_stat(target, cfg.rn, rng)
+        t_int, clipped = family.round_stat(target, rn, rng)
         resample_target = float(t_int)
-    output = family.conditional_resample(that, cfg.rn, resample_target, rng)
+    output = family.conditional_resample(that, rn, resample_target, rng)
     return CloneRunRecord(
         theta_hat=that,
         smoothed_value=smoothed,
@@ -204,20 +216,15 @@ def _stat_targets(family: Family, cfg: ClonerConfig, s1, s2, z,
     """Real statistic targets of replicates with sums ``s1``, ``s2`` and noise ``z``.
 
     The array form of `estimate_theta` on the n1 estimation draws (sum
-    ``s1``) followed by `_target_stat` on the scoring draws (sum ``s2``;
-    ``z`` is None when epsilon = 0).  The Fisher scalings of the smoothed
-    score and of its inversion cancel, so only the family mean enters.
+    ``s1``) followed by `_smoothed_target` on the scoring draws (sum ``s2``;
+    ``z`` is None when epsilon = 0).
     """
     if theta_hat is None:
         that = _grid_estimate(family, s1 / cfg.n1, cfg.n1)
         n2 = cfg.n2
     else:
         that, n2 = theta_hat, cfg.n
-    mean = family.mean(that)
-    smoothed = (s2 - n2 * mean) / math.sqrt(n2)
-    if z is not None:
-        smoothed = smoothed + math.sqrt(cfg.epsilon) * z
-    return cfg.rn * mean + math.sqrt(cfg.rn) * (math.sqrt(cfg.rn / n2) * smoothed)
+    return _smoothed_target(family, that, n2, cfg.rn, cfg.epsilon, s2, z)[2]
 
 
 def _rounding_pmf(family: Family, rn: int, target: np.ndarray) -> tuple[

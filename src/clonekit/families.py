@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, pdtrc
@@ -37,33 +36,6 @@ from .lawdist import EmpiricalLaw
 logger = logging.getLogger(__name__)
 
 _POISSON_TAIL = 1e-11
-
-
-@dataclass(frozen=True)
-class ScoreReport:
-    """Fisher information at a point, with its smallest eigenvalue.
-
-    One-parameter families carry scalars; ``min_eigenvalue`` must stay
-    positive on the working range.  ``score_value`` is attached when the
-    report is produced for a particular outcome.
-    """
-
-    fisher: float
-    min_eigenvalue: float
-    score_value: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.min_eigenvalue > 0:
-            raise ValueError("Fisher information must be positive definite")
-
-
-@dataclass(frozen=True)
-class FamilyPoint:
-    family: "Family"
-    theta: float
-
-    def __post_init__(self) -> None:
-        self.family.require_in_domain(self.theta)
 
 
 class Family:
@@ -120,12 +92,6 @@ class Family:
 
     def fisher(self, theta: float) -> float:
         raise NotImplementedError
-
-    def fisher_info(self, theta: float, omega=None) -> ScoreReport:
-        self.require_in_domain(theta)
-        j = self.fisher(theta)
-        value = None if omega is None else float(self.score(theta, omega))
-        return ScoreReport(fisher=j, min_eigenvalue=j, score_value=value)
 
     def sample(self, theta: float, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError

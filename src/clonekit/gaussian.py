@@ -241,9 +241,14 @@ def _shortfall(p: GaussianShift, q: GaussianShift, z: np.ndarray) -> np.ndarray:
     ``A = L_q^{-1} L_p`` (lower triangular) and ``b = L_q^{-1}(mean_p -
     mean_q)``, so ``log q(x) - log p(x) = (|z|^2 - |A z + b|^2) / 2 + log det
     L_p - log det L_q``.  The m x m solves are the only ones; the per-draw
-    work is elementwise, one coordinate at a time.
+    work is elementwise, one coordinate at a time.  Equal covariance factors
+    give ``A = I`` exactly, which the solve would only round to, so an
+    identical pair scores exactly zero.
     """
-    a_mat = solve_triangular(q._chol, p._chol, lower=True)
+    if np.array_equal(p._chol, q._chol):
+        a_mat = np.eye(p.dim)
+    else:
+        a_mat = solve_triangular(q._chol, p._chol, lower=True)
     b = solve_triangular(q._chol, p.mean - q.mean, lower=True)
     log_det = np.sum(np.log(np.diag(p._chol))) - np.sum(np.log(np.diag(q._chol)))
     cols = z.T

@@ -20,9 +20,10 @@ from clonekit import (
 from clonekit.cloner import (
     _replicate_atoms,
     _rounding_pmf,
+    _smoothed_target,
     _stat_targets,
-    _target_stat,
 )
+from clonekit.lan import smoothed_score
 
 
 class TestConfig:
@@ -158,6 +159,55 @@ class TestClonePipeline:
             clone(Bernoulli(), np.ones(9, dtype=int), cfg, stream(0, "len"))
 
 
+def _reference_clone(family, data, cfg, rng, theta_hat=None):
+    """`clone` written out through the public LAN and family steps.
+
+    Estimate, smoothed score, gain, inversion through `stat_from_score`,
+    randomized rounding, conditional resampling: the pipeline step by step,
+    drawing from ``rng`` in the same order as `clone`.
+    """
+    if theta_hat is None:
+        that = estimate_theta(family, data[: cfg.n1]).theta_hat
+        score_data = data[cfg.n1:]
+    else:
+        that, score_data = theta_hat, data
+    smoothed = smoothed_score(family, that, score_data, cfg.epsilon, rng).value
+    amplified = math.sqrt(cfg.rn / score_data.size) * smoothed
+    target = family.stat_from_score(that, cfg.rn, family.fisher(that) * amplified)
+    resample_target = target
+    if family.discrete:
+        resample_target = float(family.round_stat(target, cfg.rn, rng)[0])
+    output = family.conditional_resample(that, cfg.rn, resample_target, rng)
+    return smoothed, amplified, target, output
+
+
+class TestCloneMatchesReference:
+    """`clone`'s single-pass target against the step-by-step pipeline."""
+
+    @pytest.mark.parametrize("family,theta", [
+        (Bernoulli(), 0.3), (Poisson(), 2.0), (GaussianLocation(1.0), 0.0),
+    ], ids=lambda v: getattr(v, "name", None))
+    @pytest.mark.parametrize("frozen", [False, True], ids=["estimated", "frozen"])
+    def test_outputs_identical_and_targets_agree(self, family, theta, frozen):
+        if frozen:
+            cfg = ClonerConfig(n=20, r=1.0, delta=0.05, epsilon=0.0, seed=40)
+        else:
+            cfg = ClonerConfig(n=400, r=2.0, delta=0.05, epsilon=0.01, seed=41)
+        frozen_theta = theta if frozen else None
+        for i in range(2_000):
+            data = family.sample(theta, cfg.n, stream(cfg.seed, "ref-data", family.name, i))
+            rec = clone(family, data, cfg, stream(cfg.seed, "ref", family.name, i),
+                        theta_hat=frozen_theta)
+            smoothed, amplified, target, output = _reference_clone(
+                family, data, cfg, stream(cfg.seed, "ref", family.name, i), frozen_theta,
+            )
+            assert rec.output.dtype == output.dtype
+            assert rec.output.tobytes() == output.tobytes()
+            assert rec.target_stat == pytest.approx(target, rel=1e-12, abs=0.0)
+            assert rec.smoothed_value == pytest.approx(smoothed, rel=1e-12, abs=0.0)
+            assert rec.amplified == pytest.approx(amplified, rel=1e-12, abs=0.0)
+
+
 class TestCloneLoss:
     def test_fixed_point_loss_shrinks_with_reps(self):
         cfg = ClonerConfig(n=20, r=1.0, delta=0.05, epsilon=0.0, seed=10)
@@ -227,16 +277,13 @@ class TestCloneLoss:
 
 
 class _FixedRng:
-    """Stands in for a Generator with a fixed uniform and a fixed normal draw."""
+    """Stands in for a Generator with a fixed uniform draw."""
 
-    def __init__(self, u=0.5, z=0.0):
-        self.u, self.z = u, z
+    def __init__(self, u):
+        self.u = u
 
     def random(self):
         return self.u
-
-    def standard_normal(self):
-        return self.z
 
 
 # (theta, cfg, frozen): estimated; exact-integer targets (r = 1, epsilon = 0,
@@ -268,8 +315,10 @@ class TestStatisticLevelAgreement:
                 that = estimate_theta(family, data[: cfg.n1]).theta_hat
                 score_data = data[cfg.n1:]
             s1[i], s2[i] = data[: cfg.n1].sum(), score_data.sum()
-            scalar[i] = _target_stat(family, that, cfg.rn, score_data.size,
-                                     cfg.epsilon, score_data, _FixedRng(z=z[i]))[2]
+            scalar[i] = _smoothed_target(
+                family, that, score_data.size, cfg.rn, cfg.epsilon,
+                float(score_data.sum()), float(z[i]) if cfg.epsilon > 0 else None,
+            )[2]
         target = _stat_targets(family, cfg, None if frozen else s1, s2,
                                z if cfg.epsilon > 0 else None,
                                theta if frozen else None)

@@ -13,7 +13,6 @@ from scipy import stats
 
 from clonekit import (
     Bernoulli,
-    FamilyPoint,
     GaussianLocation,
     Poisson,
     chi2_cdf,
@@ -133,11 +132,6 @@ class TestFisher:
         n = scores.size
         tol = 4 * np.square(scores).std() / math.sqrt(n) + 20 * family.fisher(theta) / n
         assert abs(scores.var() - family.fisher(theta)) < tol
-
-    def test_score_report(self):
-        rep = Bernoulli().fisher_info(0.5, omega=1)
-        assert rep.fisher == rep.min_eigenvalue == pytest.approx(4.0)
-        assert rep.score_value == pytest.approx(2.0)
 
 
 class TestSampling:
@@ -334,10 +328,3 @@ class TestRegistry:
     def test_unknown(self):
         with pytest.raises(ValueError):
             get_family("cauchy")
-
-    def test_family_point_requires_interior_theta(self):
-        assert FamilyPoint(Bernoulli(), 0.5).theta == 0.5
-        with pytest.raises(ValueError):
-            FamilyPoint(Bernoulli(), 1.5)
-        with pytest.raises(ValueError):
-            FamilyPoint(Poisson(), 0.0)

@@ -140,6 +140,16 @@ class TestTvNumeric:
         mc = tv_numeric(p, p, "monte_carlo", budget=1000, rng=stream(0, "same"))
         assert mc.value == 0.0 and mc.std_error == 0.0
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_identical_pair_exact_zero_random_spd(self, m):
+        rng = stream(0, "same-spd", m)
+        for i in range(100):
+            root = rng.standard_normal((m, m))
+            cov = root @ root.T + 0.1 * np.eye(m)
+            p = GaussianShift(rng.standard_normal(m), cov)
+            mc = tv_numeric(p, p, "monte_carlo", budget=2_000, rng=stream(0, "same", m, i))
+            assert mc.value == 0.0 and mc.std_error == 0.0
+
     def test_quadrature_matches_closed_form_1d(self):
         p = GaussianShift([0.0], [[1.0]])
         q = GaussianShift([0.0], [[2.0]])
