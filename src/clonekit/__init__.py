@@ -5,6 +5,9 @@ Gaussian-shift amplifier and its closed-form loss constant, the LAN-based
 cloning pipeline that achieves it for smooth one-parameter families, and an
 independent linear-programming oracle for the deficiency of discretized
 experiments.
+
+Every distance is reported in the L1 convention, twice the total-variation
+distance, so it lies in [0, 2].
 """
 
 from .amplifier import (
@@ -19,7 +22,6 @@ from .cloner import (
     CloneLossReport,
     ClonerConfig,
     CloneRunRecord,
-    Estimate,
     MinimaxProbeReport,
     clone,
     clone_loss_discrete,
@@ -31,7 +33,6 @@ from .deficiency import (
     DeficiencyResult,
     FiniteExperiment,
     GridSpec,
-    MarkovKernel,
     NumericalError,
     discretize_gaussian_pair,
     gaussian_cell_masses,
@@ -61,8 +62,6 @@ from .lan import (
     DqmReport,
     ExceedanceReport,
     LanResidualReport,
-    ScoreProcessValue,
-    SmoothedScore,
     dqm_residual,
     lan_residual_rate,
     loglik_ratio,
@@ -71,7 +70,7 @@ from .lan import (
     smoothed_score,
     wilson_interval,
 )
-from .lawdist import EmpiricalLaw, as_tv, empirical_pmf, mixture_pmf, pmf_l1
+from .lawdist import EmpiricalLaw, mixture_pmf, pmf_l1
 from .streams import stream, stream_key
 
 __all__ = [name for name in dir() if not name.startswith("_")]

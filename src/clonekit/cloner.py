@@ -82,14 +82,6 @@ class ClonerConfig:
 
 
 @dataclass(frozen=True)
-class Estimate:
-    """Estimate snapped to the 1/sqrt(n_used) grid, inside the open domain."""
-
-    theta_hat: float
-    n_used: int
-
-
-@dataclass(frozen=True)
 class CloneRunRecord:
     theta_hat: float
     smoothed_value: float
@@ -115,7 +107,7 @@ def _grid_estimate(family: Family, mean, n: int):
     return np.minimum(np.maximum(k, k_min), k_max) * step
 
 
-def estimate_theta(family: Family, data: np.ndarray) -> Estimate:
+def estimate_theta(family: Family, data: np.ndarray) -> float:
     """Grid-snapped maximum likelihood estimate.
 
     The MLE is the sample mean for every built-in; it is clipped into the
@@ -128,7 +120,7 @@ def estimate_theta(family: Family, data: np.ndarray) -> Estimate:
     n = data.size
     if n == 0:
         raise ValueError("empty estimation sample")
-    return Estimate(theta_hat=float(_grid_estimate(family, data.mean(), n)), n_used=n)
+    return float(_grid_estimate(family, data.mean(), n))
 
 
 def _smoothed_target(family: Family, theta_hat, n2: int, rn: int, epsilon: float,
@@ -170,8 +162,7 @@ def clone(
     if data.size != cfg.n:
         raise ValueError(f"expected {cfg.n} samples, got {data.size}")
     if theta_hat is None:
-        est = estimate_theta(family, data[: cfg.n1])
-        that = est.theta_hat
+        that = estimate_theta(family, data[: cfg.n1])
         score_data = data[cfg.n1:]
     else:
         family.require_in_domain(theta_hat)
@@ -183,10 +174,10 @@ def clone(
         family, that, n2, rn, cfg.epsilon, float(score_data.sum()), z
     )
     clipped = False
-    resample_target: float = target
+    resample_target = target
     if family.discrete:
-        t_int, clipped = family.round_stat(target, rn, rng)
-        resample_target = float(t_int)
+        # the one rounding and clipping of the target; the resampler takes the count
+        resample_target, clipped = family.round_stat(target, rn, rng)
     output = family.conditional_resample(that, rn, resample_target, rng)
     return CloneRunRecord(
         theta_hat=that,

@@ -29,7 +29,6 @@ is the full LP.  The size cap of 40 000 still applies to the full kernel,
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -91,48 +90,11 @@ class FiniteExperiment:
     def n_outcomes(self) -> int:
         return self.probs.shape[1]
 
-    def to_text(self) -> str:
-        """Plain-text matrix form: header 'p K', then one row per parameter."""
-        buf = io.StringIO()
-        buf.write(f"{self.n_params} {self.n_outcomes}\n")
-        for row in self.probs:
-            buf.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_text(cls, text: str, params=None) -> "FiniteExperiment":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        p, k = (int(v) for v in lines[0].split())
-        rows = [np.fromstring(ln, sep=" ") for ln in lines[1 : 1 + p]]
-        probs = np.vstack(rows)
-        if probs.shape != (p, k):
-            raise ValueError("matrix body does not match header")
-        return cls(params=tuple(params) if params is not None else tuple(range(p)),
-                   probs=probs)
-
-
-@dataclass(frozen=True)
-class MarkovKernel:
-    """Column-stochastic matrix: each input column is a pmf over outputs."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        matrix = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        object.__setattr__(self, "matrix", matrix)
-        if np.any(matrix < -1e-9):
-            raise ValueError("negative kernel entry")
-        if np.abs(matrix.sum(axis=0) - 1.0).max() > 1e-9:
-            raise ValueError("kernel columns must sum to 1 within 1e-9")
-
-    def apply(self, pmf: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(pmf, dtype=float)
-
 
 @dataclass(frozen=True)
 class DeficiencyResult:
     value: float
-    kernel: MarkovKernel
+    kernel: np.ndarray     # column-stochastic (k_out x k_in): column j is a pmf
     lp_status: str
     kernel_vars: int       # kernel entries in the final LP
     pricing_rounds: int    # LP solves, one per pricing round
@@ -229,10 +191,10 @@ def discretize_gaussian_pair(
 
 
 def kernel_objective(
-    kernel: MarkovKernel, source: FiniteExperiment, target: FiniteExperiment
+    kernel: np.ndarray, source: FiniteExperiment, target: FiniteExperiment
 ) -> float:
-    """max over parameters of || L P_t - Q_t ||_1 for a given kernel."""
-    out = source.probs @ kernel.matrix.T
+    """max over parameters of || L P_t - Q_t ||_1 for a column-stochastic L."""
+    out = source.probs @ kernel.T
     return float(np.abs(out - target.probs).sum(axis=1).max())
 
 
@@ -331,14 +293,14 @@ def _priced_solve(
         mask |= entering
     # the mask is the one just solved on, so its entries match the variables
     js, ys = np.nonzero(mask)
-    kernel_matrix = np.zeros((k_out, k_in))
-    kernel_matrix[ys, js] = res.x[: js.size]
+    kernel = np.zeros((k_out, k_in))
+    kernel[ys, js] = res.x[: js.size]
     # clean the tiny negative / normalization residue left by the solver
-    kernel_matrix = np.maximum(kernel_matrix, 0.0)
-    kernel_matrix /= kernel_matrix.sum(axis=0, keepdims=True)
+    kernel = np.maximum(kernel, 0.0)
+    kernel /= kernel.sum(axis=0, keepdims=True)
     result = DeficiencyResult(
         value=float(res.fun),
-        kernel=MarkovKernel(kernel_matrix),
+        kernel=kernel,
         lp_status=status,
         kernel_vars=int(mask.sum()),
         pricing_rounds=rounds,

@@ -134,7 +134,7 @@ class Family:
         return float(data.sum())
 
     def score_from_stat(self, theta: float, n: int, stat: float) -> float:
-        """Normalized score sum as an affine function of S."""
+        """Normalized score sum as an affine function of S; elementwise on arrays."""
         return self.fisher(theta) * (stat - n * self.mean(theta)) / math.sqrt(n)
 
     def stat_from_score(self, theta: float, n: int, score_sum: float) -> float:
@@ -150,11 +150,27 @@ class Family:
         raise NotImplementedError(f"{self.name} has no discrete statistic law")
 
     def conditional_resample(
-        self, theta: float, n: int, target_stat: float, rng: np.random.Generator
+        self, theta: float, n: int, target_stat: float | int,
+        rng: np.random.Generator,
     ) -> np.ndarray:
+        """A sample of size n from the law given S = ``target_stat``.
+
+        Discrete families take the integer count, already rounded and
+        clipped by `round_stat`; continuous ones take the real target.
+        """
         raise NotImplementedError
 
     # -- helpers -----------------------------------------------------------
+
+    def _require_count(self, target_stat, n: int) -> int:
+        """``target_stat`` as an int, if it is an integer inside `stat_bounds(n)`."""
+        lo, hi = self.stat_bounds(n)
+        if not isinstance(target_stat, (int, np.integer)) or not lo <= target_stat <= hi:
+            raise ValueError(
+                f"{self.name}: statistic {target_stat!r} is not an integer count "
+                f"in [{lo}, {hi}] for n={n}"
+            )
+        return int(target_stat)
 
     def round_stat(
         self, target: float, n: int, rng: np.random.Generator
@@ -239,7 +255,7 @@ class Bernoulli(Family):
         return EmpiricalLaw(k, p / p.sum())
 
     def conditional_resample(self, theta, n, target_stat, rng):
-        t, _ = self.round_stat(target_stat, n, rng)
+        t = self._require_count(target_stat, n)
         out = np.zeros(n, dtype=np.int64)
         out[:t] = 1
         rng.shuffle(out)
@@ -302,7 +318,7 @@ class Poisson(Family):
 
     def conditional_resample(self, theta, n, target_stat, rng):
         # given the total, the cell counts are uniform-multinomial
-        t, _ = self.round_stat(target_stat, n, rng)
+        t = self._require_count(target_stat, n)
         return rng.multinomial(t, np.full(n, 1.0 / n)).astype(np.int64)
 
 

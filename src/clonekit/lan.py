@@ -33,14 +33,6 @@ _Z95 = 1.959963984540054
 
 
 @dataclass(frozen=True)
-class ScoreProcessValue:
-    """Normalized score sum ``sum_i score(theta, w_i) / sqrt(n)``."""
-
-    n: int
-    value: float
-
-
-@dataclass(frozen=True)
 class LanResidualReport:
     """Exact vs quadratic log likelihood ratio for one dataset."""
 
@@ -66,14 +58,6 @@ class ExceedanceReport:
     @property
     def nonincreasing(self) -> bool:
         return all(b <= a for a, b in zip(self.exceed_prob, self.exceed_prob[1:]))
-
-
-@dataclass(frozen=True)
-class SmoothedScore:
-    """Inverse-Fisher-scaled score process plus N(0, epsilon) noise."""
-
-    epsilon: float
-    value: float
 
 
 @dataclass(frozen=True)
@@ -106,14 +90,16 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
     return lo, hi
 
 
-def score_process(family: Family, theta: float, data: np.ndarray) -> ScoreProcessValue:
-    """Exact affine evaluation through the sufficient statistic."""
+def score_process(family: Family, theta: float, data: np.ndarray) -> float:
+    """Normalized score sum ``sum_i score(theta, w_i) / sqrt(n)``.
+
+    Exact affine evaluation through the sufficient statistic.
+    """
     data = np.asarray(data, dtype=float)
     n = data.size
     if n == 0:
         raise ValueError("empty sample")
-    value = family.score_from_stat(theta, n, family.suff_stat(data))
-    return ScoreProcessValue(n=n, value=value)
+    return family.score_from_stat(theta, n, family.suff_stat(data))
 
 
 def loglik_ratio(
@@ -127,7 +113,7 @@ def loglik_ratio(
     family.require_in_domain(shifted)
     exact = float(np.sum(family.log_density(shifted, data) - family.log_density(theta, data)))
     j = family.fisher(theta)
-    quad = h * score_process(family, theta, data).value - 0.5 * h * h * j
+    quad = h * score_process(family, theta, data) - 0.5 * h * h * j
     return LanResidualReport(exact_loglr=exact, quadratic=quad)
 
 
@@ -179,7 +165,7 @@ def smoothed_score(
     data: np.ndarray,
     epsilon: float,
     rng: np.random.Generator | None = None,
-) -> SmoothedScore:
+) -> float:
     """J^{-1} times the score process, plus N(0, epsilon) noise.
 
     epsilon = 0 is exactly the rescaled score; positive epsilon makes the law
@@ -188,12 +174,12 @@ def smoothed_score(
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    base = score_process(family, theta, data).value / family.fisher(theta)
+    base = score_process(family, theta, data) / family.fisher(theta)
     if epsilon == 0.0:
-        return SmoothedScore(epsilon=0.0, value=base)
+        return base
     if rng is None:
         raise ValueError("positive epsilon requires an rng")
-    return SmoothedScore(epsilon=epsilon, value=base + math.sqrt(epsilon) * rng.standard_normal())
+    return base + math.sqrt(epsilon) * rng.standard_normal()
 
 
 @dataclass(frozen=True)
@@ -286,9 +272,7 @@ def quantile_coupling(
     for n in n_grid:
         if family.discrete:
             law = family.stat_pmf(theta, n)
-            xs = np.array([
-                family.score_from_stat(theta, n, float(s)) for s in law.support
-            ])
+            xs = family.score_from_stat(theta, n, law.support.astype(float))
             cdf = np.cumsum(law.mass)
             idx = np.minimum(np.searchsorted(cdf, levels, side="left"), xs.size - 1)
             score_q = xs[idx]

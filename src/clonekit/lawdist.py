@@ -1,14 +1,13 @@
-"""Exact and empirical L1 distances over lattice-supported laws.
+"""Exact L1 distances over lattice-supported laws.
 
-All distances are reported in the L1 convention (twice the total-variation
-distance); ``as_tv`` divides by two for display.
+All distances are reported in the L1 convention, twice the total-variation
+distance.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -19,7 +18,6 @@ class EmpiricalLaw:
 
     support: np.ndarray
     mass: np.ndarray
-    sample_count: int | None = None
 
     def __post_init__(self) -> None:
         support = np.asarray(self.support, dtype=np.int64)
@@ -40,25 +38,6 @@ class EmpiricalLaw:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "mass", np.maximum(mass, 0.0))
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("point,mass\n")
-        for k, w in zip(self.support, self.mass):
-            buf.write(f"{int(k)},{w:.17g}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, sample_count: int | None = None) -> "EmpiricalLaw":
-        lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
-        if lines and lines[0].startswith("point"):
-            lines = lines[1:]
-        pts, ws = [], []
-        for ln in lines:
-            k, w = ln.split(",")
-            pts.append(int(k))
-            ws.append(float(w))
-        return cls(np.array(pts), np.array(ws), sample_count)
-
 
 def pmf_l1(p: EmpiricalLaw, q: EmpiricalLaw) -> float:
     """Sum of |p(k) - q(k)| over the union support; in [0, 2]."""
@@ -68,20 +47,6 @@ def pmf_l1(p: EmpiricalLaw, q: EmpiricalLaw) -> float:
     pw[np.searchsorted(keys, p.support)] = p.mass
     qw[np.searchsorted(keys, q.support)] = q.mass
     return float(np.abs(pw - qw).sum())
-
-
-def as_tv(l1: float) -> float:
-    """Total-variation convention (half the L1 value)."""
-    return 0.5 * l1
-
-
-def empirical_pmf(samples: Sequence[int] | np.ndarray) -> EmpiricalLaw:
-    """Normalized counts of an integer sample."""
-    arr = np.asarray(samples, dtype=np.int64)
-    if arr.size == 0:
-        raise ValueError("empty sample")
-    support, counts = np.unique(arr, return_counts=True)
-    return EmpiricalLaw(support, counts / arr.size, sample_count=int(arr.size))
 
 
 def mixture_pmf(atom_pmfs: Iterable[tuple[EmpiricalLaw, float]]) -> EmpiricalLaw:
@@ -98,6 +63,4 @@ def mixture_pmf(atom_pmfs: Iterable[tuple[EmpiricalLaw, float]]) -> EmpiricalLaw
     mass = np.zeros(support.size)
     np.add.at(mass, inverse, vals)
     mass /= mass.sum()
-    counts = [law.sample_count for law, _ in pairs]
-    total = sum(c for c in counts if c) or None
-    return EmpiricalLaw(support, mass, sample_count=total)
+    return EmpiricalLaw(support, mass)

@@ -303,11 +303,23 @@ class TestConditionalResample:
     def test_clipping_warns_not_raises(self, caplog):
         fam = Bernoulli()
         with caplog.at_level("WARNING"):
-            out = fam.conditional_resample(0.3, 4, -5, stream(18, "clip"))
-        assert out.sum() == 0
+            t, _ = fam.round_stat(-5, 4, stream(18, "clip"))
+        assert t == 0
         assert "clipped" in caplog.text
-        out = fam.conditional_resample(0.3, 4, 99, stream(18, "clip2"))
-        assert out.sum() == 4
+        t, _ = fam.round_stat(99, 4, stream(18, "clip2"))
+        assert t == 4
+
+    def test_rejects_unrounded_or_out_of_range_count(self):
+        # the resampler takes the count `round_stat` produced; it neither
+        # rounds nor clips again
+        rng = stream(18, "reject")
+        for fam, bad in [(Bernoulli(), 2.0), (Bernoulli(), 2.5), (Bernoulli(), -1),
+                         (Bernoulli(), 5), (Poisson(), np.float64(3.0)),
+                         (Poisson(), math.nan), (Poisson(), np.int64(-1))]:
+            with pytest.raises(ValueError, match="integer count"):
+                fam.conditional_resample(0.3, 4, bad, rng)
+        out = Poisson().conditional_resample(0.3, 4, np.int64(3), rng)
+        assert out.sum() == 3 and out.dtype == np.int64
 
     def test_randomized_rounding_mean_preserving(self):
         fam = Bernoulli()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clonekit import EmpiricalLaw, as_tv, empirical_pmf, mixture_pmf, pmf_l1
+from clonekit import EmpiricalLaw, mixture_pmf, pmf_l1
 
 
 def law(support, mass):
@@ -27,9 +27,6 @@ class TestPmfL1:
         p = law([0, 2, 5], [0.2, 0.3, 0.5])
         q = law([1, 2], [0.9, 0.1])
         assert pmf_l1(p, q) == pmf_l1(q, p)
-
-    def test_tv_convention(self):
-        assert as_tv(2.0) == 1.0
 
 
 class TestValidation:
@@ -63,32 +60,14 @@ def test_metric_properties(p, q, r):
 
 
 class TestEmpiricalPmf:
-    def test_small(self):
-        p = empirical_pmf([0, 1, 1])
-        assert list(p.support) == [0, 1]
-        assert p.mass == pytest.approx([1 / 3, 2 / 3])
-        assert p.sample_count == 3
-
-    def test_singleton(self):
-        p = empirical_pmf([7])
-        assert list(p.support) == [7] and p.mass[0] == 1.0
-
-    def test_order_independent(self):
-        a = empirical_pmf([3, 1, 2, 1])
-        b = empirical_pmf([1, 1, 2, 3])
-        assert pmf_l1(a, b) == 0.0
-
     def test_sampling_error_scale(self):
         from clonekit import Bernoulli, stream
 
         exact = Bernoulli().stat_pmf(0.5, 10)
         rng = stream(4, "bin-draws")
         draws = rng.binomial(10, 0.5, size=100_000)
-        assert pmf_l1(empirical_pmf(draws), exact) < 0.02
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            empirical_pmf([])
+        empirical = np.bincount(draws, minlength=11) / draws.size
+        assert np.abs(empirical - exact.mass).sum() < 0.02
 
 
 class TestMixture:
@@ -115,9 +94,3 @@ class TestValidationAndIo:
             law([0, 1], [0.7, 0.7])  # sum != 1
         with pytest.raises(ValueError):
             law([0, 1], [1.5, -0.5])  # negative
-
-    def test_csv_round_trip(self):
-        p = law([0, 3, 9], [0.125, 0.5, 0.375])
-        q = EmpiricalLaw.from_csv(p.to_csv())
-        assert pmf_l1(p, q) == 0.0
-        assert q.to_csv().startswith("point,mass\n0,")
