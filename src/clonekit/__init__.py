@@ -55,7 +55,6 @@ from .gaussian import (
     tv_ball_indicator,
     tv_isotropic,
     tv_numeric,
-    whiten,
 )
 from .lan import (
     CouplingReport,

@@ -137,10 +137,6 @@ class Family:
         """Normalized score sum as an affine function of S; elementwise on arrays."""
         return self.fisher(theta) * (stat - n * self.mean(theta)) / math.sqrt(n)
 
-    def stat_from_score(self, theta: float, n: int, score_sum: float) -> float:
-        """Inverse of `score_from_stat`."""
-        return n * self.mean(theta) + math.sqrt(n) * score_sum / self.fisher(theta)
-
     def stat_bounds(self, n: int) -> tuple[float, float]:
         """Achievable range of S for a sample of size n."""
         return (-math.inf, math.inf)

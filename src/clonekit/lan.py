@@ -26,7 +26,6 @@ import numpy as np
 from scipy.special import ndtri
 
 from .families import Family
-from .gaussian import _adaptive_simpson
 from .streams import stream
 
 _Z95 = 1.959963984540054
@@ -193,10 +192,9 @@ def dqm_residual(family: Family, theta: float, h_grid) -> DqmReport:
     """Quadratic-mean differentiability defect per step size.
 
     Integrates ``(sqrt(p_{theta+h}) - sqrt(p_theta) - (h/2) score sqrt(p_theta))^2``
-    over the outcome space: a sum for discrete families, adaptive quadrature
-    for the Gaussian (tolerance 1e-10, tightened with the h^4 scale of the
-    defect so small steps stay resolved).  The normalized defect must vanish
-    as h -> 0.
+    over the outcome space: a sum for discrete families, a closed form for
+    the Gaussian location family (`_dqm_gaussian`).  The normalized defect
+    must vanish as h -> 0.
     """
     hs = tuple(float(h) for h in h_grid)
     residuals = []
@@ -208,7 +206,7 @@ def dqm_residual(family: Family, theta: float, h_grid) -> DqmReport:
         if family.discrete:
             residuals.append(_dqm_discrete(family, theta, h))
         else:
-            residuals.append(_dqm_continuous(family, theta, h))
+            residuals.append(_dqm_gaussian(family.sigma, h))
     normalized = tuple(res / (h * h) if h != 0.0 else 0.0 for res, h in zip(residuals, hs))
     return DqmReport(h_grid=hs, residual=tuple(residuals), normalized=normalized)
 
@@ -227,21 +225,16 @@ def _dqm_discrete(family: Family, theta: float, h: float) -> float:
     return float(np.sum(dev * dev))
 
 
-def _dqm_continuous(family: Family, theta: float, h: float) -> float:
-    sigma = family.sigma
-    lo = theta - 14.0 * sigma + min(0.0, h)
-    hi = theta + 14.0 * sigma + max(0.0, h)
+def _dqm_gaussian(sigma: float, h: float) -> float:
+    """``2 (1 + u - e^{-u} - 2 u e^{-u})`` with ``u = h^2 / (8 sigma^2)``.
 
-    def f(x: float) -> float:
-        p0 = family.density(theta, x)
-        p1 = family.density(theta + h, x)
-        sc = family.score(theta, x)
-        dev = math.sqrt(p1) - math.sqrt(p0) - 0.5 * h * sc * math.sqrt(p0)
-        return dev * dev
-
-    # the defect integral itself is Theta(h^4); keep the tolerance below it
-    tol = 1e-10 * min(1.0, h * h * h * h)
-    return _adaptive_simpson(f, lo, hi, max(tol, 1e-18))
+    Expanding the square leaves ``2 + h^2/(4 sigma^2)`` minus twice the
+    Bhattacharyya coefficient ``e^{-u}`` minus ``(h^2/(2 sigma^2)) e^{-u}``.
+    The defect is ``3 u^2 + O(u^3)``, so ``1 - e^{-u}`` comes from `expm1`.
+    """
+    u = h * h / (8.0 * sigma * sigma)
+    e = -math.expm1(-u)
+    return 2.0 * (e - u + 2.0 * u * e)
 
 
 def quantile_coupling(

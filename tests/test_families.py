@@ -181,9 +181,6 @@ class TestSufficientStatistic:
         via_stat = family.score_from_stat(theta, 40, family.suff_stat(data))
         direct = family.score(theta, data).sum() / math.sqrt(40)
         assert via_stat == pytest.approx(direct, rel=1e-12, abs=1e-12)
-        # inversion round trip
-        back = family.stat_from_score(theta, 40, via_stat)
-        assert back == pytest.approx(family.suff_stat(data), rel=1e-12)
 
 
 class TestStatLaw:

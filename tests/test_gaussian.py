@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from clonekit import (
     GaussianShift,
@@ -21,7 +22,6 @@ from clonekit import (
     tv_ball_indicator,
     tv_isotropic,
     tv_numeric,
-    whiten,
 )
 
 # independent-oracle values (quadrature / erf / MC agreed before the build)
@@ -151,9 +151,13 @@ class TestTvNumeric:
             assert mc.value == 0.0 and mc.std_error == 0.0
 
     def test_quadrature_matches_closed_form_1d(self):
+        # exact at m = 1: the crossings cut the line into fixed-sign intervals
         p = GaussianShift([0.0], [[1.0]])
-        q = GaussianShift([0.0], [[2.0]])
-        assert tv_numeric(p, q, "quadrature").value == pytest.approx(TV_2_1, abs=1e-5)
+        for r in (2.0, 4.0):
+            q = GaussianShift([0.0], [[r]])
+            assert tv_numeric(p, q, "quadrature").value == pytest.approx(
+                tv_isotropic(r, 1).value, abs=1e-12
+            )
 
     def test_quadrature_matches_closed_form_2d(self):
         p = GaussianShift([0, 0], np.eye(2))
@@ -221,6 +225,48 @@ class TestTvNumeric:
         assert res.value == pytest.approx(value, rel=1e-12)
         assert res.std_error == pytest.approx(se, rel=1e-12)
 
+    @pytest.mark.parametrize("p,q", [
+        (GaussianShift([0.0], [[1.0]]), GaussianShift([1.0], [[1.0]])),
+        (GaussianShift([0, 0], np.eye(2)), GaussianShift([1.0, 0.5], np.eye(2))),
+        (GaussianShift([0.3, -0.2], [[2.0, 0.6], [0.6, 1.0]]),
+         GaussianShift([1.1, 0.4], [[2.0, 0.6], [0.6, 1.0]])),
+    ], ids=["m1", "m2-identity", "m2-shared"])
+    def test_quadrature_equal_covariance_exact(self, p, q):
+        # equal covariances: the L1 distance is 4 Phi(delta/2) - 2 in the
+        # Mahalanobis distance delta of the means
+        d = q.mean - p.mean
+        delta = math.sqrt(d @ np.linalg.solve(p.cov, d))
+        exact = 4.0 * ndtr(0.5 * delta) - 2.0
+        assert tv_numeric(p, q, "quadrature").value == pytest.approx(exact, abs=1e-9)
+
+    @pytest.mark.parametrize("s0", [0.02, 5.0])
+    def test_quadrature_2d_reduces_to_marginal(self, s0):
+        # q differs from N(0, I) along one rotated axis only, so the L1
+        # distance is that of the 1-d marginals; s0 = 0.02 puts a narrow
+        # density on the outer coordinate of the 2-d quadrature
+        a = 0.7
+        rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+        p = GaussianShift([0, 0], np.eye(2))
+        q = GaussianShift(rot @ [3.0, 0.0], rot @ np.diag([s0 * s0, 1.0]) @ rot.T)
+        marginal = tv_numeric(GaussianShift([0.0], [[1.0]]),
+                              GaussianShift([3.0], [[s0 * s0]]), "quadrature")
+        assert tv_numeric(p, q, "quadrature").value == pytest.approx(
+            marginal.value, abs=1e-6
+        )
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_quadrature_matches_monte_carlo_general_pairs(self, m):
+        # shifted means and covariances that are not proportional
+        rng = stream(13, "general-pairs", m)
+        for i in range(20):
+            s, t = (g @ g.T + 0.2 * np.eye(m) for g in rng.standard_normal((2, m, m)))
+            p = GaussianShift(rng.standard_normal(m), s)
+            q = GaussianShift(rng.standard_normal(m), t)
+            quad = tv_numeric(p, q, "quadrature").value
+            mc = tv_numeric(p, q, "monte_carlo", budget=20_000,
+                            rng=stream(14, "general-mc", m, i))
+            assert abs(quad - mc.value) < 4 * mc.std_error
+
     def test_errors(self):
         p = GaussianShift([0.0], [[1.0]])
         q3 = GaussianShift([0, 0, 0], np.eye(3))
@@ -242,23 +288,6 @@ class TestBallIndicator:
 
     def test_r_one(self):
         assert tv_ball_indicator(1, 2, 10, stream(0, "b1")).value == 0.0
-
-
-class TestWhiten:
-    def test_identity(self):
-        assert np.allclose(whiten(np.eye(3)), np.eye(3))
-
-    def test_scalar(self):
-        assert whiten([[4.0]])[0, 0] == pytest.approx(0.5)
-
-    def test_general(self):
-        cov = np.array([[2.0, 1.0], [1.0, 2.0]])
-        w = whiten(cov)
-        assert np.abs(w @ cov @ w.T - np.eye(2)).max() < 1e-10
-
-    def test_not_spd(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            whiten(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestDataTypes:

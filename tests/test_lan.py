@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from clonekit import (
     Bernoulli,
@@ -187,6 +187,26 @@ class TestDqm:
         u = 0.01**2 / 8
         exact = 2 * (1 - math.exp(-u)) + 2 * u * (1 - 2 * math.exp(-u))
         assert rep.residual[0] == pytest.approx(exact, rel=1e-4, abs=1e-14)
+
+    @pytest.mark.parametrize("h", [0.5, 0.1, 0.01])
+    def test_gaussian_closed_form_vs_quad(self, h):
+        sigma, theta = 1.3, 0.2
+
+        def density(t, x):
+            z = (x - t) / sigma
+            return math.exp(-0.5 * z * z) / (sigma * math.sqrt(2 * math.pi))
+
+        def defect(x):
+            score = (x - theta) / sigma**2
+            root0 = math.sqrt(density(theta, x))
+            dev = math.sqrt(density(theta + h, x)) - root0 - 0.5 * h * score * root0
+            return dev * dev
+
+        lo, hi = theta - 20 * sigma, theta + 20 * sigma
+        ref = integrate.quad(defect, lo, hi, points=[theta], epsabs=0.0,
+                             epsrel=1e-10, limit=200)[0]
+        rep = dqm_residual(GaussianLocation(sigma), theta, [h])
+        assert rep.residual[0] == pytest.approx(ref, rel=1e-6)
 
 
 class TestQuantileCoupling:
