@@ -58,9 +58,7 @@ from .gaussian import (
 )
 from .lan import (
     CouplingReport,
-    DqmReport,
     ExceedanceReport,
-    LanResidualReport,
     dqm_residual,
     lan_residual_rate,
     loglik_ratio,

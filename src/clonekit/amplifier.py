@@ -105,7 +105,8 @@ def gaussian_clone(
 
 @dataclass(frozen=True)
 class AmplifierLossReport:
-    h_grid: tuple
+    """Loss at each shift of the caller's grid, in its order, and the worst one."""
+
     per_h: tuple[TvResult, ...]
     sup_value: float
     sup_std_error: float
@@ -149,7 +150,6 @@ def amplifier_loss_mc(
         results.append(tv_numeric(amplified, target, method, budget=budget, rng=rng))
     sup_idx = int(np.argmax([t.value for t in results]))
     return AmplifierLossReport(
-        h_grid=tuple(tuple(h) for h in grid),
         per_h=tuple(results),
         sup_value=results[sup_idx].value,
         sup_std_error=results[sup_idx].std_error,

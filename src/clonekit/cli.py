@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import amplifier, cloner, deficiency, gaussian, lan
+from .deficiency import ConfigurationError, NumericalError
 from .families import GaussianLocation, get_family
 from .streams import stream
 
@@ -72,10 +73,6 @@ _DEFAULTS: dict[str, dict[str, str]] = {
         "resolution": "4001",
     },
 }
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,7 @@ def resolve_config(
     fmt: str | None,
 ) -> ExperimentConfig:
     if experiment not in EXPERIMENTS:
-        raise ConfigError(
+        raise ConfigurationError(
             f"unknown experiment {experiment!r}; choose from {', '.join(EXPERIMENTS)}"
         )
     params = dict(_DEFAULTS[experiment])
@@ -132,7 +129,7 @@ def resolve_config(
         parser = configparser.ConfigParser()
         read = parser.read(config_path)
         if not read:
-            raise ConfigError(f"config file {config_path!r} not readable")
+            raise ConfigurationError(f"config file {config_path!r} not readable")
         if parser.has_section(experiment):
             for key, value in parser.items(experiment):
                 if key == "seed":
@@ -146,15 +143,15 @@ def resolve_config(
                 elif key in params:
                     params[key] = value
                 else:
-                    raise ConfigError(
+                    raise ConfigurationError(
                         f"unknown key {key!r} for experiment {experiment!r}"
                     )
     fmt_final = fmt or file_fmt or "csv"
     if fmt_final not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt_final!r}")
+        raise ConfigurationError(f"format must be csv or json, got {fmt_final!r}")
     reps = params.get("reps")
     if reps is not None and int(reps) < 1:
-        raise ConfigError("reps must be at least 1")
+        raise ConfigurationError("reps must be at least 1")
     return ExperimentConfig(
         experiment=experiment,
         params=params,
@@ -193,7 +190,7 @@ def _run_tv(cfg: ExperimentConfig):
         elif route == "ball_indicator":
             res = gaussian.tv_ball_indicator(r, m, budget, stream(cfg.seed, "tv", route))
         else:
-            raise ConfigError(f"unknown tv route {route!r}")
+            raise ConfigurationError(f"unknown tv route {route!r}")
         rows.append({
             "r": r, "m": m, "method": res.method,
             "value": res.value, "std_error": res.std_error,
@@ -217,7 +214,7 @@ def _run_amp_loss(cfg: ExperimentConfig):
             "h": " ".join(f"{c:g}" for c in h),
             "value": tv.value, "std_error": tv.std_error, "method": tv.method,
         }
-        for h, tv in zip(report.h_grid, report.per_h)
+        for h, tv in zip(hs, report.per_h)
     ]
     rows.append({
         "h": "sup", "value": report.sup_value,
@@ -261,6 +258,7 @@ def _run_clone_sim(cfg: ExperimentConfig):
     theta = float(p["theta"])
     r = float(p["r"])
     delta = float(p["delta"])
+    reps = int(p["reps"])
     reference = gaussian.tv_isotropic(r / (1.0 - delta), 1).value
     rows = []
     for n in _parse_ints(p["n_grid"]):
@@ -268,13 +266,12 @@ def _run_clone_sim(cfg: ExperimentConfig):
             n=n, r=r, delta=delta, epsilon=float(p["epsilon"]), seed=cfg.seed
         )
         rep = cloner.clone_loss_discrete(
-            family, theta, run_cfg, int(p["reps"]),
-            bootstrap=int(p["bootstrap"]),
+            family, theta, run_cfg, reps, bootstrap=int(p["bootstrap"]),
         )
         rows.append({
-            "family": family.name, "theta": theta, "n": n, "rn": rep.rn,
+            "family": family.name, "theta": theta, "n": n, "rn": run_cfg.rn,
             "loss": rep.loss, "ci_low": rep.ci_low, "ci_high": rep.ci_high,
-            "clip_rate": rep.clip_rate, "reps": rep.reps,
+            "clip_rate": rep.clip_rate, "reps": reps,
             "reference": reference,
         })
     return rows, True
@@ -288,16 +285,16 @@ def _run_minimax_probe(cfg: ExperimentConfig):
         n=int(p["n"]), r=float(p["r"]), delta=float(p["delta"]),
         epsilon=float(p["epsilon"]), seed=cfg.seed,
     )
+    hs = _parse_floats(p["h_grid"])
     report = cloner.local_minimax_probe(
-        family, theta, float(p["a"]), _parse_floats(p["h_grid"]),
-        run_cfg, int(p["reps"]),
+        family, theta, float(p["a"]), hs, run_cfg, int(p["reps"]),
     )
     rows = [
         {
             "h": h, "theta_shifted": theta + h / math.sqrt(run_cfg.n),
             "loss": rep.loss, "ci_low": rep.ci_low, "ci_high": rep.ci_high,
         }
-        for h, rep in zip(report.h_grid, report.losses)
+        for h, rep in zip(hs, report.losses)
     ]
     rows.append({
         "h": "sup", "theta_shifted": theta,
@@ -309,18 +306,19 @@ def _run_minimax_probe(cfg: ExperimentConfig):
 def _run_lan_diag(cfg: ExperimentConfig):
     p = cfg.params
     family = _family_from(p)
+    n_grid = _parse_ints(p["n_grid"])
+    threshold = float(p["threshold"])
+    reps = int(p["reps"])
     report = lan.lan_residual_rate(
-        family, float(p["theta"]), float(p["h"]),
-        _parse_ints(p["n_grid"]), float(p["threshold"]),
-        int(p["reps"]), cfg.seed,
+        family, float(p["theta"]), float(p["h"]), n_grid, threshold, reps, cfg.seed,
     )
     rows = [
         {
-            "n": n, "threshold": report.threshold, "exceed_prob": prob,
-            "wilson_low": lo, "wilson_high": hi, "reps": report.reps,
+            "n": n, "threshold": threshold, "exceed_prob": prob,
+            "wilson_low": lo, "wilson_high": hi, "reps": reps,
         }
         for n, prob, lo, hi in zip(
-            report.n_grid, report.exceed_prob, report.wilson_low, report.wilson_high
+            n_grid, report.exceed_prob, report.wilson_low, report.wilson_high
         )
     ]
     return rows, True
@@ -329,19 +327,19 @@ def _run_lan_diag(cfg: ExperimentConfig):
 def _run_coupling(cfg: ExperimentConfig):
     p = cfg.params
     family = _family_from(p)
+    n_grid = _parse_ints(p["n_grid"])
+    epsilon_dev = float(p["epsilon_dev"])
+    resolution = int(p["resolution"])
     report = lan.quantile_coupling(
-        family, float(p["theta"]), _parse_ints(p["n_grid"]),
-        float(p["epsilon_dev"]), int(p["resolution"]),
+        family, float(p["theta"]), n_grid, epsilon_dev, resolution,
     )
     rows = [
         {
-            "n": n, "epsilon_dev": report.epsilon_dev,
+            "n": n, "epsilon_dev": epsilon_dev,
             "deviation_measure": meas, "sup_deviation": sup,
-            "resolution": report.resolution,
+            "resolution": resolution,
         }
-        for n, meas, sup in zip(
-            report.n_grid, report.deviation_measure, report.sup_deviation
-        )
+        for n, meas, sup in zip(n_grid, report.deviation_measure, report.sup_deviation)
     ]
     return rows, True
 
@@ -391,7 +389,7 @@ def emit_report(
 ) -> str:
     """Render the report and write it to cfg.out (or stdout).  Returns text."""
     if not rows:
-        raise ConfigError("no results to report")
+        raise ConfigurationError("no results to report")
     if cfg.fmt == "csv":
         text = _render_csv(rows, cfg, partial)
     else:
@@ -401,7 +399,7 @@ def emit_report(
             with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ConfigError(f"cannot write {cfg.out!r}: {exc}") from exc
+            raise ConfigurationError(f"cannot write {cfg.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return text
@@ -475,10 +473,10 @@ def main(argv: list[str] | None = None) -> int:
             args.out, args.format,
         )
         return run_experiment(cfg)
-    except (ConfigError, deficiency.ConfigurationError, ValueError) as exc:
+    except ValueError as exc:  # ConfigurationError is a ValueError
         print(f"clonekit: configuration error: {exc}", file=sys.stderr)
         return 2
-    except deficiency.NumericalError as exc:
+    except NumericalError as exc:
         print(f"clonekit: numerical failure: {exc}", file=sys.stderr)
         return 3
 

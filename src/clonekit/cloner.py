@@ -25,6 +25,11 @@ output, and the statistic-level loss share one target formula
 (`_smoothed_target`), evaluated on one replicate's floats or on arrays of
 replicates.  As n grows (at fixed delta and epsilon) the loss approaches
 the Gaussian amplifier constant at gain ratio ``r / (1 - delta)``.
+
+The loss reports hold only what the call computed: `CloneLossReport` the
+loss, its bootstrap CI and the clip rate, and `MinimaxProbeReport` one such
+report per shift in the caller's grid order and their supremum.  Sample
+sizes, replicate counts and the shift grid stay with the caller.
 """
 
 from __future__ import annotations
@@ -197,9 +202,6 @@ class CloneLossReport:
     ci_low: float
     ci_high: float
     clip_rate: float
-    reps: int
-    n: int
-    rn: int
 
 
 def _stat_targets(family: Family, cfg: ClonerConfig, s1, s2, z,
@@ -303,8 +305,7 @@ def clone_loss_discrete(
             100.0 * clip_rate,
         )
     return CloneLossReport(
-        loss=loss, ci_low=ci_low, ci_high=ci_high,
-        clip_rate=clip_rate, reps=reps, n=cfg.n, rn=cfg.rn,
+        loss=loss, ci_low=ci_low, ci_high=ci_high, clip_rate=clip_rate
     )
 
 
@@ -327,9 +328,8 @@ def _bootstrap_ci(index, weights, target_vec, reps, bootstrap, rng):
 
 @dataclass(frozen=True)
 class MinimaxProbeReport:
-    """Per-shift loss of the pipeline in a shrinking neighbourhood."""
+    """Per-shift loss of the pipeline in a shrinking neighbourhood, in grid order."""
 
-    h_grid: tuple[float, ...]
     losses: tuple[CloneLossReport, ...]
     sup_loss: float
 
@@ -360,7 +360,5 @@ def local_minimax_probe(
             clone_loss_discrete(family, shifted, cfg, reps, label=f"h{i}")
         )
     return MinimaxProbeReport(
-        h_grid=hs,
-        losses=tuple(reports),
-        sup_loss=max(rep.loss for rep in reports),
+        losses=tuple(reports), sup_loss=max(rep.loss for rep in reports)
     )

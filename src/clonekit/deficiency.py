@@ -39,8 +39,7 @@ from scipy.special import ndtr
 
 MODE_MEAN_SHIFT = "mean-shift"        # source N(h, s2)        -> target N(sqrt(r) h, s2)
 MODE_VARIANCE_EXCESS = "variance-excess"  # source N(sqrt(r) h, r s2) -> target N(sqrt(r) h, s2)
-MODE_COV_ROOT = "cov-root"            # source N(h, s2)        -> target N(h, sqrt(r) s2)
-_MODES = (MODE_MEAN_SHIFT, MODE_VARIANCE_EXCESS, MODE_COV_ROOT)
+_MODES = (MODE_MEAN_SHIFT, MODE_VARIANCE_EXCESS)
 
 STATUS_OPTIMAL = "optimal"
 STATUS_ITERATION_LIMIT = "iteration_limit"
@@ -81,10 +80,6 @@ class FiniteExperiment:
         rowsums = probs.sum(axis=1)
         if np.abs(rowsums - 1.0).max() > 1e-12:
             raise ValueError("pmf rows must sum to 1 within 1e-12")
-
-    @property
-    def n_params(self) -> int:
-        return len(self.params)
 
     @property
     def n_outcomes(self) -> int:
@@ -156,8 +151,7 @@ def discretize_gaussian_pair(
     ``mean-shift`` poses the amplifier task itself: turn N(h, s2) into
     N(sqrt(r) h, s2).  ``variance-excess`` poses the equivalent scaled form
     whose continuum-optimal kernel is the identity: the source already has
-    the amplified mean and carries excess covariance r s2.  ``cov-root``
-    is the literal bounded-shift variant with target N(h, sqrt(r) s2).
+    the amplified mean and carries excess covariance r s2.
     """
     if mode not in _MODES:
         raise ConfigurationError(f"unknown mode {mode!r}; choose from {_MODES}")
@@ -172,13 +166,9 @@ def discretize_gaussian_pair(
     sq = math.sqrt(r)
     if mode == MODE_MEAN_SHIFT:
         src = [(h, sigma) for h in hs]
-        tgt = [(sq * h, sigma) for h in hs]
-    elif mode == MODE_VARIANCE_EXCESS:
-        src = [(sq * h, sq * sigma) for h in hs]
-        tgt = [(sq * h, sigma) for h in hs]
     else:
-        src = [(h, sigma) for h in hs]
-        tgt = [(h, r**0.25 * sigma) for h in hs]
+        src = [(sq * h, sq * sigma) for h in hs]
+    tgt = [(sq * h, sigma) for h in hs]
     source = FiniteExperiment(
         params=tuple(hs),
         probs=np.vstack([gaussian_cell_masses(m, s, edges) for m, s in src]),

@@ -12,6 +12,11 @@ differentiability defect, the law of the noise-smoothed normalized score, and
 a one-dimensional quantile coupling of the score process with its Gaussian
 limit.
 
+Results hold only what their call computed: `loglik_ratio` returns the pair
+``(exact, quadratic)``, `dqm_residual` one defect per step size, and the
+per-sample-size reports one value per entry of the caller's ``n_grid``, in
+its order.
+
 For the Gaussian location family every quantity is exact (zero residual,
 zero coupling deviation); those are the machine-precision anchors of the
 test suite.
@@ -32,31 +37,12 @@ _Z95 = 1.959963984540054
 
 
 @dataclass(frozen=True)
-class LanResidualReport:
-    """Exact vs quadratic log likelihood ratio for one dataset."""
-
-    exact_loglr: float
-    quadratic: float
-
-    @property
-    def residual(self) -> float:
-        return self.exact_loglr - self.quadratic
-
-
-@dataclass(frozen=True)
 class ExceedanceReport:
-    """Residual exceedance probabilities over an n-grid, with 95% Wilson CIs."""
+    """Residual exceedance probabilities per sample size, with 95% Wilson CIs."""
 
-    n_grid: tuple[int, ...]
-    threshold: float
     exceed_prob: tuple[float, ...]
     wilson_low: tuple[float, ...]
     wilson_high: tuple[float, ...]
-    reps: int
-
-    @property
-    def nonincreasing(self) -> bool:
-        return all(b <= a for a, b in zip(self.exceed_prob, self.exceed_prob[1:]))
 
 
 @dataclass(frozen=True)
@@ -64,14 +50,11 @@ class CouplingReport:
     """Quantile coupling of the score process with its N(0, J) limit.
 
     ``deviation_measure[i]`` is the Lebesgue measure of quantile levels where
-    the coupled variables differ by at least ``epsilon_dev`` at n_grid[i];
-    ``sup_deviation`` is the largest gap seen on the probe grid, the carrier
-    of the root-n convergence trend.
+    the coupled variables differ by at least ``epsilon_dev`` at the i-th
+    sample size; ``sup_deviation`` is the largest gap seen on the probe grid,
+    the carrier of the root-n convergence trend.
     """
 
-    n_grid: tuple[int, ...]
-    epsilon_dev: float
-    resolution: int
     deviation_measure: tuple[float, ...]
     sup_deviation: tuple[float, ...]
 
@@ -103,8 +86,11 @@ def score_process(family: Family, theta: float, data: np.ndarray) -> float:
 
 def loglik_ratio(
     family: Family, theta: float, h: float, data: np.ndarray
-) -> LanResidualReport:
-    """Exact and quadratic log likelihood ratio at shift h / sqrt(n)."""
+) -> tuple[float, float]:
+    """``(exact, quadratic)`` log likelihood ratio at shift h / sqrt(n).
+
+    Their difference is the LAN expansion residual.
+    """
     data = np.asarray(data, dtype=float)
     n = data.size
     shifted = theta + h / math.sqrt(n)
@@ -113,7 +99,7 @@ def loglik_ratio(
     exact = float(np.sum(family.log_density(shifted, data) - family.log_density(theta, data)))
     j = family.fisher(theta)
     quad = h * score_process(family, theta, data) - 0.5 * h * h * j
-    return LanResidualReport(exact_loglr=exact, quadratic=quad)
+    return exact, quad
 
 
 def lan_residual_rate(
@@ -125,7 +111,7 @@ def lan_residual_rate(
     reps: int,
     seed: int,
 ) -> ExceedanceReport:
-    """Monte Carlo residual exceedance probability per sample size.
+    """Monte Carlo residual exceedance probability per sample size in ``n_grid``.
 
     The exact and the quadratic log likelihood ratio are both functions of
     the statistic S (`Family.loglr_from_stat`, `Family.score_from_stat`), so
@@ -149,12 +135,7 @@ def lan_residual_rate(
         lows.append(lo)
         highs.append(hi)
     return ExceedanceReport(
-        n_grid=n_grid,
-        threshold=threshold,
-        exceed_prob=tuple(probs),
-        wilson_low=tuple(lows),
-        wilson_high=tuple(highs),
-        reps=reps,
+        exceed_prob=tuple(probs), wilson_low=tuple(lows), wilson_high=tuple(highs)
     )
 
 
@@ -181,24 +162,16 @@ def smoothed_score(
     return base + math.sqrt(epsilon) * rng.standard_normal()
 
 
-@dataclass(frozen=True)
-class DqmReport:
-    h_grid: tuple[float, ...]
-    residual: tuple[float, ...]
-    normalized: tuple[float, ...]  # residual / h^2
-
-
-def dqm_residual(family: Family, theta: float, h_grid) -> DqmReport:
-    """Quadratic-mean differentiability defect per step size.
+def dqm_residual(family: Family, theta: float, h_grid) -> tuple[float, ...]:
+    """Quadratic-mean differentiability defect for each step size in ``h_grid``.
 
     Integrates ``(sqrt(p_{theta+h}) - sqrt(p_theta) - (h/2) score sqrt(p_theta))^2``
-    over the outcome space: a sum for discrete families, a closed form for
-    the Gaussian location family (`_dqm_gaussian`).  The normalized defect
-    must vanish as h -> 0.
+    over the outcome space: a sum over the support of the wider one-draw law
+    for discrete families, a closed form for the Gaussian location family
+    (`_dqm_gaussian`).  The defect divided by h^2 must vanish as h -> 0.
     """
-    hs = tuple(float(h) for h in h_grid)
     residuals = []
-    for h in hs:
+    for h in map(float, h_grid):
         if h == 0.0:
             residuals.append(0.0)
             continue
@@ -207,17 +180,12 @@ def dqm_residual(family: Family, theta: float, h_grid) -> DqmReport:
             residuals.append(_dqm_discrete(family, theta, h))
         else:
             residuals.append(_dqm_gaussian(family.sigma, h))
-    normalized = tuple(res / (h * h) if h != 0.0 else 0.0 for res, h in zip(residuals, hs))
-    return DqmReport(h_grid=hs, residual=tuple(residuals), normalized=normalized)
+    return tuple(residuals)
 
 
 def _dqm_discrete(family: Family, theta: float, h: float) -> float:
-    if family.name == "bernoulli":
-        support = np.arange(2)
-    else:
-        # cover both parameters far into the tails
-        top = max(theta, theta + h)
-        support = np.arange(int(25 + 20 * top + 12 * math.sqrt(top)))
+    # the one-draw statistic law at the larger parameter covers both tails
+    support = family.stat_pmf(max(theta, theta + h), 1).support
     p0 = family.density(theta, support)
     p1 = family.density(theta + h, support)
     sc = family.score(theta, support)
@@ -251,7 +219,8 @@ def quantile_coupling(
     statistic pmf for discrete families), the limit as ``sqrt(J)`` times the
     normal quantile.  By construction the pushforwards are the exact laws;
     the report carries the measure of levels where the two differ by at least
-    ``epsilon_dev`` and the largest observed gap, per sample size.
+    ``epsilon_dev`` and the largest observed gap, per sample size in
+    ``n_grid``.
     """
     if epsilon_dev <= 0:
         raise ValueError("epsilon_dev must be positive")
@@ -275,10 +244,4 @@ def quantile_coupling(
         gap = np.abs(score_q - limit_q)
         measures.append(float(np.mean(gap >= epsilon_dev)))
         sups.append(float(gap.max()))
-    return CouplingReport(
-        n_grid=n_grid,
-        epsilon_dev=epsilon_dev,
-        resolution=resolution,
-        deviation_measure=tuple(measures),
-        sup_deviation=tuple(sups),
-    )
+    return CouplingReport(deviation_measure=tuple(measures), sup_deviation=tuple(sups))

@@ -190,7 +190,8 @@ def test_criterion_6_exact_anchors():
     worst = 0.0
     for i, h in enumerate((0.5, -1.7, 2.0)):
         data = fam.sample(0.2, 400, stream(SEED, "acc6-lan", i))
-        worst = max(worst, abs(loglik_ratio(fam, 0.2, h, data).residual))
+        exact, quadratic = loglik_ratio(fam, 0.2, h, data)
+        worst = max(worst, abs(exact - quadratic))
     ok_lan = worst < 1e-10
 
     # frozen estimate, r = 1, epsilon = 0: the count law is preserved exactly
@@ -244,24 +245,26 @@ def test_criterion_6_exact_anchors():
 
 def test_criterion_7_lan_diagnostics():
     """Expansion residual rate and quantile-coupling convergence trends."""
+    n_grid = (25, 100, 400)
     rep = lan_residual_rate(
-        Bernoulli(), 0.5, 1.0, (25, 100, 400), threshold=0.1,
+        Bernoulli(), 0.5, 1.0, n_grid, threshold=0.1,
         reps=10_000, seed=SEED,
     )
     strictly_dec = all(b < a for a, b in zip(rep.exceed_prob, rep.exceed_prob[1:]))
     disjoint = all(
         rep.wilson_low[k] > rep.wilson_high[k + 1]
-        for k in range(len(rep.n_grid) - 1)
+        for k in range(len(n_grid) - 1)
     )
 
     ok_coupling = True
     slopes = {}
+    cp_grid = (16, 64, 256, 1024)
     for fam, theta in ((Bernoulli(), 0.5), (Poisson(), 1.0)):
-        cp = quantile_coupling(fam, theta, (16, 64, 256, 1024), 0.2, resolution=4001)
+        cp = quantile_coupling(fam, theta, cp_grid, 0.2, resolution=4001)
         ok_coupling &= all(
             b <= a for a, b in zip(cp.deviation_measure, cp.deviation_measure[1:])
         )
-        slope = float(np.polyfit(np.log(cp.n_grid), np.log(cp.sup_deviation), 1)[0])
+        slope = float(np.polyfit(np.log(cp_grid), np.log(cp.sup_deviation), 1)[0])
         slopes[fam.name] = round(slope, 3)
         ok_coupling &= -0.7 <= slope <= -0.3
 

@@ -2,15 +2,21 @@
 
 `perfbench/tracer.py` reports a layer's self time, or a counter, only while
 at least one of its hook targets exists.  A deleted or renamed target does
-not fail a traced run: the metric just drops out of the report.  This test
-resolves each target the way the tracer does, without installing anything,
-and checks that every per-layer metric listed in `BENCHMARK.json` still has
-one.
+not fail a traced run: the metric just drops out of the report.  The first
+test resolves each target the way the tracer does, without installing
+anything, and checks that every per-layer metric listed in `BENCHMARK.json`
+still has one.  The second installs the tracer and runs every CLI experiment
+and one `clone` call under it, so a result type that loses an attribute a
+counter reads fails here rather than in a traced benchmark run.
 """
 
 import importlib.util
 import json
+import math
 from pathlib import Path
+
+import clonekit
+import clonekit.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,3 +56,62 @@ def test_every_per_layer_metric_has_a_live_hook():
         and _FROM_COUNTER.get(m["name"], m["name"]) not in live
     ]
     assert missing == [], f"per-layer metrics with no live hook: {missing}"
+
+
+# one small section per CLI experiment, each reaching its hooked layers
+_TINY_CONFIG = """\
+[tv]
+m = 2
+routes = closed_form, quadrature, monte_carlo, ball_indicator
+budget = 1000
+[amp-loss]
+h_grid = 0, 1
+budget = 1000
+method = monte_carlo
+[deficiency]
+a_list = 0.5
+grid_lo = -8
+grid_hi = 8
+grid_count = 81
+[clone-sim]
+n_grid = 64
+reps = 50
+bootstrap = 10
+[minimax-probe]
+n = 64
+reps = 20
+h_grid = -1, 0, 1
+a = 1
+[lan-diag]
+n_grid = 25, 100
+reps = 200
+[coupling]
+n_grid = 16, 64
+resolution = 101
+"""
+
+
+def test_traced_runs_succeed_and_counters_are_finite(tmp_path):
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(_TINY_CONFIG)
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        codes = {
+            experiment: clonekit.cli.main([
+                experiment, "--config", str(ini), "--seed", "3",
+                "--out", str(tmp_path / f"{experiment}.csv"),
+            ])
+            for experiment in clonekit.cli.EXPERIMENTS
+        }
+        family = clonekit.Bernoulli()
+        cfg = clonekit.ClonerConfig(n=20, r=2.0, delta=0.1, epsilon=0.01, seed=3)
+        rng = clonekit.stream(3, "traced-clone")
+        clonekit.clone(family, family.sample(0.3, cfg.n, rng), cfg, rng)
+    finally:
+        tracer.uninstall()
+    assert codes == dict.fromkeys(clonekit.cli.EXPERIMENTS, 0)
+    counts = tracer.counts()
+    assert "cloner.clipped" in counts
+    bad = {name: v for name, v in counts.items() if not math.isfinite(v)}
+    assert bad == {}, f"non-finite counters: {bad}"

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
+from clonekit import ConfigurationError, NumericalError
 from clonekit.cli import (
-    ConfigError,
     ExperimentConfig,
     emit_report,
     main,
@@ -44,11 +44,11 @@ class TestConfigResolution:
     def test_unknown_key_rejected(self, tmp_path):
         ini = tmp_path / "cfg.ini"
         ini.write_text("[tv]\nbogus = 1\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigurationError):
             resolve_config("tv", str(ini), None, None, None, None)
 
     def test_missing_file(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigurationError):
             resolve_config("tv", "/nonexistent.ini", None, None, None, None)
 
 
@@ -115,7 +115,7 @@ class TestEmitReport:
         )
 
     def test_empty_results_guard(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigurationError):
             emit_report([], self._cfg(tmp_path), partial=False, wall_clock=0.0)
 
     def test_csv_shape(self, tmp_path):
@@ -150,6 +150,29 @@ class TestEmitReport:
         code = run_cli(["deficiency", "--out", str(out)])
         assert code == 3
         assert "# PARTIAL" in out.read_text()
+
+    def test_library_configuration_error_exits_2_without_report(self, tmp_path, capsys):
+        # 250 edges give 249 x 249 kernel variables, over the LP size cap
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[deficiency]\ngrid_count = 250\n")
+        out = tmp_path / "d.csv"
+        code = run_cli(["deficiency", "--config", str(ini), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_numerical_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        import clonekit.cli as climod
+
+        def failing_runner(cfg):
+            raise NumericalError("solver gave up")
+
+        monkeypatch.setitem(climod._RUNNERS, "deficiency", failing_runner)
+        out = tmp_path / "d.csv"
+        code = run_cli(["deficiency", "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestOtherExperiments:

@@ -284,7 +284,6 @@ class TestBallIndicator:
     def test_matches_closed_form(self):
         res = tv_ball_indicator(2, 1, 200_000, stream(3, "ball"))
         assert abs(res.value - TV_2_1) < 4 * res.std_error
-        assert res.crossing_radius_sq == pytest.approx(2 * math.log(2))
 
     def test_r_one(self):
         assert tv_ball_indicator(1, 2, 10, stream(0, "b1")).value == 0.0

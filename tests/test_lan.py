@@ -52,16 +52,16 @@ class TestScoreProcess:
 
 class TestLoglikRatio:
     def test_zero_shift(self):
-        rep = loglik_ratio(Bernoulli(), 0.4, 0.0, np.array([1, 0, 1]))
-        assert rep.exact_loglr == 0.0 and rep.quadratic == 0.0 and rep.residual == 0.0
+        exact, quadratic = loglik_ratio(Bernoulli(), 0.4, 0.0, np.array([1, 0, 1]))
+        assert exact == 0.0 and quadratic == 0.0
 
     def test_gaussian_exact(self):
         fam = GaussianLocation(1.3)
         rng = stream(4, "gexact")
         for h in (0.5, -1.7, 2.0):
             data = fam.sample(0.2, 400, rng)
-            rep = loglik_ratio(fam, 0.2, h, data)
-            assert abs(rep.residual) < 1e-10
+            exact, quadratic = loglik_ratio(fam, 0.2, h, data)
+            assert abs(exact - quadratic) < 1e-10
 
     def test_likelihood_ratio_integrates_to_one(self):
         for family, theta in (
@@ -72,7 +72,7 @@ class TestLoglikRatio:
             for i in range(reps):
                 rng = stream(11, "ez", family.name, i)
                 data = family.sample(theta, n, rng)
-                zs[i] = math.exp(loglik_ratio(family, theta, h, data).exact_loglr)
+                zs[i] = math.exp(loglik_ratio(family, theta, h, data)[0])
             se = zs.std() / math.sqrt(reps)
             assert abs(zs.mean() - 1.0) < 4 * se
 
@@ -88,7 +88,7 @@ class TestLoglikRatio:
                 data = family.sample(theta, n, stream(12, "stat-lr", family.name, n, i))
                 shifted = theta + h / math.sqrt(n)
                 by_stat = family.loglr_from_stat(theta, shifted, n, data.sum())
-                by_data = loglik_ratio(family, theta, h, data).exact_loglr
+                by_data = loglik_ratio(family, theta, h, data)[0]
                 assert abs(by_stat - by_data) < 1e-9
 
     def test_out_of_domain_shift(self):
@@ -107,7 +107,7 @@ class TestResidualRate:
         rep = lan_residual_rate(
             Bernoulli(), 0.5, 1.0, (25, 100, 400), 0.1, reps=2000, seed=6
         )
-        assert rep.nonincreasing
+        assert all(b <= a for a, b in zip(rep.exceed_prob, rep.exceed_prob[1:]))
         assert rep.exceed_prob[0] > rep.exceed_prob[-1]
         # Wilson intervals bracket the point estimates
         for p, lo, hi in zip(rep.exceed_prob, rep.wilson_low, rep.wilson_high):
@@ -167,26 +167,27 @@ class TestSmoothedScore:
 
 class TestDqm:
     def test_zero_step(self):
-        rep = dqm_residual(Bernoulli(), 0.5, [0.0])
-        assert rep.residual == (0.0,)
+        assert dqm_residual(Bernoulli(), 0.5, [0.0]) == (0.0,)
 
     def test_bernoulli_rate(self):
-        rep = dqm_residual(Bernoulli(), 0.5, [0.01, 0.001])
-        # defect is quartic in h, so the normalized value drops ~100x
-        assert rep.normalized[0] / rep.normalized[1] > 10
-        assert rep.residual[0] > 0
+        hs = (0.01, 0.001)
+        res = dqm_residual(Bernoulli(), 0.5, hs)
+        # defect is quartic in h, so the defect over h^2 drops ~100x
+        assert (res[0] / hs[0] ** 2) / (res[1] / hs[1] ** 2) > 10
+        assert res[0] > 0
 
     def test_poisson_rate(self):
-        rep = dqm_residual(Poisson(), 2.0, [0.02, 0.002])
-        assert rep.normalized[0] / rep.normalized[1] > 10
+        hs = (0.02, 0.002)
+        res = dqm_residual(Poisson(), 2.0, hs)
+        assert (res[0] / hs[0] ** 2) / (res[1] / hs[1] ** 2) > 10
 
     def test_gaussian_small(self):
-        rep = dqm_residual(GaussianLocation(1.0), 0.0, [0.01])
-        assert rep.normalized[0] < 1e-4
+        (res,) = dqm_residual(GaussianLocation(1.0), 0.0, [0.01])
+        assert res / 0.01**2 < 1e-4
         # closed form: defect = 2(1 - e^{-u}) + 2u(1 - 2 e^{-u}), u = h^2/8
         u = 0.01**2 / 8
         exact = 2 * (1 - math.exp(-u)) + 2 * u * (1 - 2 * math.exp(-u))
-        assert rep.residual[0] == pytest.approx(exact, rel=1e-4, abs=1e-14)
+        assert res == pytest.approx(exact, rel=1e-4, abs=1e-14)
 
     @pytest.mark.parametrize("h", [0.5, 0.1, 0.01])
     def test_gaussian_closed_form_vs_quad(self, h):
@@ -205,8 +206,8 @@ class TestDqm:
         lo, hi = theta - 20 * sigma, theta + 20 * sigma
         ref = integrate.quad(defect, lo, hi, points=[theta], epsabs=0.0,
                              epsrel=1e-10, limit=200)[0]
-        rep = dqm_residual(GaussianLocation(sigma), theta, [h])
-        assert rep.residual[0] == pytest.approx(ref, rel=1e-6)
+        (res,) = dqm_residual(GaussianLocation(sigma), theta, [h])
+        assert res == pytest.approx(ref, rel=1e-6)
 
 
 class TestQuantileCoupling:
@@ -221,9 +222,10 @@ class TestQuantileCoupling:
         assert rep.deviation_measure[0] > rep.deviation_measure[-1]
 
     def test_poisson_root_n_trend(self):
-        rep = quantile_coupling(Poisson(), 1.0, (16, 64, 256, 1024), 0.2)
+        n_grid = (16, 64, 256, 1024)
+        rep = quantile_coupling(Poisson(), 1.0, n_grid, 0.2)
         assert all(b <= a for a, b in zip(rep.deviation_measure, rep.deviation_measure[1:]))
-        slope = np.polyfit(np.log(rep.n_grid), np.log(rep.sup_deviation), 1)[0]
+        slope = np.polyfit(np.log(n_grid), np.log(rep.sup_deviation), 1)[0]
         assert -0.7 <= slope <= -0.3
 
     def test_pushforward_matches_statistic_law(self):
@@ -236,7 +238,7 @@ class TestQuantileCoupling:
         idx = np.minimum(np.searchsorted(cdf, levels, side="left"), n)
         grid_mass = np.bincount(idx, minlength=n + 1) / res
         assert np.abs(grid_mass - law.mass).max() <= 1.0 / res + 1e-12
-        assert rep.n_grid == (n,)
+        assert len(rep.deviation_measure) == len(rep.sup_deviation) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
