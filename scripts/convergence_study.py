@@ -25,7 +25,7 @@ def main() -> None:
     args = parser.parse_args()
 
     family = get_family(args.family)
-    ref = tv_isotropic(args.r / (1 - args.delta), 1).value
+    ref = tv_isotropic(args.r / (1 - args.delta), 1)
     print(f"# family={args.family} theta={args.theta} r={args.r} "
           f"delta={args.delta} epsilon={args.epsilon} reference={ref:.6f}")
     print(f"{'n':>6} {'loss':>9} {'ci_low':>9} {'ci_high':>9} {'|dev|':>9} {'clip%':>6}")

@@ -28,7 +28,7 @@ def main() -> None:
     parser.add_argument("--grid-count", type=int, default=201)
     args = parser.parse_args()
 
-    closed = tv_isotropic(args.r, 1).value
+    closed = tv_isotropic(args.r, 1)
     grid = GridSpec(args.grid_lo, args.grid_hi, args.grid_count)
     print(f"# r={args.r} sigma={args.sigma} closed_form={closed:.6f}")
     print(f"{'a':>6} {'shifts':>7} {'lp_value':>9} {'gap':>8} {'status':>10} "

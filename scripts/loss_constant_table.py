@@ -19,7 +19,8 @@ from clonekit import (
     identity_objective,
     stream,
     tv_isotropic,
-    tv_numeric,
+    tv_monte_carlo,
+    tv_quadrature,
 )
 
 
@@ -31,16 +32,15 @@ def main() -> None:
 
     print(f"{'r':>6} {'m':>3} {'closed':>10} {'numeric':>10} {'lp-witness':>11}")
     for r, m in ((1.5, 1), (2.0, 1), (4.0, 1), (8.0, 1), (2.0, 2), (2.0, 3)):
-        closed = tv_isotropic(r, m).value
+        closed = tv_isotropic(r, m)
         p = GaussianShift(np.zeros(m), np.eye(m))
         q = GaussianShift(np.zeros(m), r * np.eye(m))
         if m <= 2:
-            numeric = tv_numeric(p, q, "quadrature").value
+            numeric = tv_quadrature(p, q)
         else:
-            numeric = tv_numeric(
-                p, q, "monte_carlo", budget=args.budget,
-                rng=stream(args.seed, "table", str(r), m),
-            ).value
+            numeric, _ = tv_monte_carlo(
+                p, q, args.budget, stream(args.seed, "table", str(r), m)
+            )
         witness = ""
         if m == 1:
             span = 6 * math.sqrt(r) + 2 * r

@@ -49,12 +49,12 @@ from .families import (
 )
 from .gaussian import (
     GaussianShift,
-    TvResult,
     chi2_cdf,
     crossing_radius_sq,
     tv_ball_indicator,
     tv_isotropic,
-    tv_numeric,
+    tv_monte_carlo,
+    tv_quadrature,
 )
 from .lan import (
     CouplingReport,

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (
-    MONTE_CARLO,
-    QUADRATURE,
-    GaussianShift,
-    TvResult,
-    tv_numeric,
-)
+from .gaussian import GaussianShift, tv_monte_carlo, tv_quadrature
 
 
 def amplify(x: np.ndarray, r: float) -> np.ndarray:
@@ -105,11 +99,16 @@ def gaussian_clone(
 
 @dataclass(frozen=True)
 class AmplifierLossReport:
-    """Loss at each shift of the caller's grid, in its order, and the worst one."""
+    """Loss at each shift of the caller's grid, in its order, and the worst one.
 
-    per_h: tuple[TvResult, ...]
+    ``per_h`` holds ``(value, std_error)`` pairs; ``method`` is the route the
+    values came from (``"quadrature"`` or ``"monte_carlo"``).
+    """
+
+    per_h: tuple[tuple[float, float], ...]
     sup_value: float
     sup_std_error: float
+    method: str
 
 
 def amplifier_loss_mc(
@@ -127,7 +126,9 @@ def amplifier_loss_mc(
     N(sqrt(r) h, sigma), with no simulation of the map itself.  All per-h
     values agree up to evaluation error: the loss is shift-invariant.
 
-    ``method="auto"`` picks quadrature for m <= 2 and Monte Carlo above.
+    ``method`` is ``"quadrature"`` (`tv_quadrature`, m <= 2),
+    ``"monte_carlo"`` (`tv_monte_carlo` with ``budget`` and ``rng``), or
+    ``"auto"``, which picks quadrature for m <= 2 and Monte Carlo above.
     """
     if r < 1.0:
         raise ValueError(f"amplification factor must be >= 1, got {r}")
@@ -137,20 +138,28 @@ def amplifier_loss_mc(
     if not grid:
         raise ValueError("empty shift grid")
     if method == "auto":
-        method = QUADRATURE if m <= 2 else MONTE_CARLO
+        method = "quadrature" if m <= 2 else "monte_carlo"
+    if method not in ("quadrature", "monte_carlo"):
+        raise ValueError(
+            f"method must be auto, quadrature or monte_carlo, got {method!r}"
+        )
     results = []
     for h in grid:
         if h.shape != (m,):
             raise ValueError(f"shift shape {h.shape} does not match dim {m}")
         if r == 1.0:
-            results.append(TvResult(0.0, method))
+            results.append((0.0, 0.0))
             continue
         amplified = GaussianShift(math.sqrt(r) * h, r * sigma)
         target = GaussianShift(math.sqrt(r) * h, sigma)
-        results.append(tv_numeric(amplified, target, method, budget=budget, rng=rng))
-    sup_idx = int(np.argmax([t.value for t in results]))
+        if method == "quadrature":
+            results.append((tv_quadrature(amplified, target), 0.0))
+        else:
+            results.append(tv_monte_carlo(amplified, target, budget, rng))
+    sup_value, sup_std_error = max(results, key=lambda pair: pair[0])
     return AmplifierLossReport(
         per_h=tuple(results),
-        sup_value=results[sup_idx].value,
-        sup_std_error=results[sup_idx].std_error,
+        sup_value=sup_value,
+        sup_std_error=sup_std_error,
+        method=method,
     )

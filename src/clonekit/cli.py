@@ -170,30 +170,26 @@ def _run_tv(cfg: ExperimentConfig):
     r = float(p["r"])
     m = int(p["m"])
     budget = int(p["budget"])
+    unit = gaussian.GaussianShift(np.zeros(m), np.eye(m))
+    scaled = gaussian.GaussianShift(np.zeros(m), r * np.eye(m))
     rows = []
     for route in [s.strip() for s in p["routes"].split(",") if s.strip()]:
         if route == "closed_form":
-            res = gaussian.tv_isotropic(r, m)
+            value, se = gaussian.tv_isotropic(r, m), 0.0
         elif route == "quadrature":
-            res = gaussian.tv_numeric(
-                gaussian.GaussianShift(np.zeros(m), np.eye(m)),
-                gaussian.GaussianShift(np.zeros(m), r * np.eye(m)),
-                gaussian.QUADRATURE,
-            )
+            value, se = gaussian.tv_quadrature(unit, scaled), 0.0
         elif route == "monte_carlo":
-            res = gaussian.tv_numeric(
-                gaussian.GaussianShift(np.zeros(m), np.eye(m)),
-                gaussian.GaussianShift(np.zeros(m), r * np.eye(m)),
-                gaussian.MONTE_CARLO, budget=budget,
-                rng=stream(cfg.seed, "tv", route),
+            value, se = gaussian.tv_monte_carlo(
+                unit, scaled, budget, stream(cfg.seed, "tv", route)
             )
         elif route == "ball_indicator":
-            res = gaussian.tv_ball_indicator(r, m, budget, stream(cfg.seed, "tv", route))
+            value, se = gaussian.tv_ball_indicator(
+                r, m, budget, stream(cfg.seed, "tv", route)
+            )
         else:
             raise ConfigurationError(f"unknown tv route {route!r}")
         rows.append({
-            "r": r, "m": m, "method": res.method,
-            "value": res.value, "std_error": res.std_error,
+            "r": r, "m": m, "method": route, "value": value, "std_error": se,
         })
     return rows, True
 
@@ -212,13 +208,13 @@ def _run_amp_loss(cfg: ExperimentConfig):
     rows = [
         {
             "h": " ".join(f"{c:g}" for c in h),
-            "value": tv.value, "std_error": tv.std_error, "method": tv.method,
+            "value": value, "std_error": se, "method": report.method,
         }
-        for h, tv in zip(hs, report.per_h)
+        for h, (value, se) in zip(hs, report.per_h)
     ]
     rows.append({
         "h": "sup", "value": report.sup_value,
-        "std_error": report.sup_std_error, "method": report.per_h[0].method,
+        "std_error": report.sup_std_error, "method": report.method,
     })
     return rows, True
 
@@ -232,7 +228,7 @@ def _run_deficiency(cfg: ExperimentConfig):
     )
     step = float(p["h_step"])
     mode = p["mode"]
-    closed = gaussian.tv_isotropic(r, 1).value
+    closed = gaussian.tv_isotropic(r, 1)
     rows = []
     ok = True
     for a in _parse_floats(p["a_list"]):
@@ -259,7 +255,7 @@ def _run_clone_sim(cfg: ExperimentConfig):
     r = float(p["r"])
     delta = float(p["delta"])
     reps = int(p["reps"])
-    reference = gaussian.tv_isotropic(r / (1.0 - delta), 1).value
+    reference = gaussian.tv_isotropic(r / (1.0 - delta), 1)
     rows = []
     for n in _parse_ints(p["n_grid"]):
         run_cfg = cloner.ClonerConfig(

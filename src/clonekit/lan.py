@@ -121,7 +121,7 @@ def lan_residual_rate(
     The per-n trend is reported, not enforced: single runs can wiggle, the
     monotone decrease is asserted by the calling tests at their chosen reps.
     """
-    n_grid = tuple(int(n) for n in n_grid)
+    n_grid = _sample_sizes(n_grid)
     j = family.fisher(theta)
     probs, lows, highs = [], [], []
     for gi, n in enumerate(n_grid):
@@ -226,7 +226,7 @@ def quantile_coupling(
         raise ValueError("epsilon_dev must be positive")
     if resolution < 3:
         raise ValueError("resolution too small")
-    n_grid = tuple(int(n) for n in n_grid)
+    n_grid = _sample_sizes(n_grid)
     j = family.fisher(theta)
     levels = (np.arange(resolution) + 0.5) / resolution
     limit_q = math.sqrt(j) * ndtri(levels)
@@ -245,3 +245,10 @@ def quantile_coupling(
         measures.append(float(np.mean(gap >= epsilon_dev)))
         sups.append(float(gap.max()))
     return CouplingReport(deviation_measure=tuple(measures), sup_deviation=tuple(sups))
+
+
+def _sample_sizes(n_grid) -> tuple[int, ...]:
+    n_grid = tuple(int(n) for n in n_grid)
+    if any(n < 1 for n in n_grid):
+        raise ValueError(f"sample sizes must be at least 1, got {n_grid}")
+    return n_grid

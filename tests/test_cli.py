@@ -70,7 +70,7 @@ class TestTvExperiment:
         row = out.read_text().splitlines()[-1].split(",")
         from clonekit import tv_isotropic
 
-        assert float(row[3]) == tv_isotropic(2, 1).value
+        assert float(row[3]) == tv_isotropic(2, 1)
 
 
 class TestDeterminism:
@@ -173,6 +173,33 @@ class TestEmitReport:
         assert code == 3
         assert not out.exists()
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("experiment,section", [
+        ("lan-diag", "n_grid = 0, 25"),
+        ("coupling", "n_grid = 0, 16"),
+        ("amp-loss", "r = 1.0\nmethod = closed_form"),
+        ("amp-loss", "r = 2.0\nmethod = closed_form"),
+        ("tv", "routes = ball_indicator\nbudget = 0"),
+        ("tv", "routes = ball_indicator\nbudget = -5"),
+        ("tv", "routes = monte_carlo\nbudget = 0"),
+        ("tv", "routes = quadrature\nm = 3"),
+    ], ids=[
+        "lan-diag-n0", "coupling-n0", "amp-loss-closed-form-r1",
+        "amp-loss-closed-form-r2", "tv-ball-budget0", "tv-ball-budget-neg",
+        "tv-mc-budget0", "tv-quadrature-m3",
+    ])
+    def test_exits_2_without_report(self, tmp_path, capsys, experiment, section):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[{experiment}]\n{section}\n")
+        out = tmp_path / "x.csv"
+        code = run_cli([experiment, "--config", str(ini), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestOtherExperiments:

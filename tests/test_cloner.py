@@ -216,7 +216,7 @@ class TestCloneLoss:
     def test_bernoulli_loss_near_reference(self):
         cfg = ClonerConfig(n=400, r=2.0, delta=0.05, epsilon=0.01, seed=11)
         rep = clone_loss_discrete(Bernoulli(), 0.3, cfg, reps=4000)
-        ref = tv_isotropic(2 / 0.95, 1).value
+        ref = tv_isotropic(2 / 0.95, 1)
         assert abs(rep.loss - ref) < 0.08
         assert rep.ci_low < rep.loss < rep.ci_high
         assert rep.clip_rate < 0.01

@@ -283,6 +283,6 @@ class TestGaussianDeficiency:
         hs = [-1.0, 0.0, 1.0]
         src, tgt = discretize_gaussian_pair(hs, 1.0, 2.0, grid, "variance-excess")
         witness = identity_objective(src, tgt)
-        assert witness == pytest.approx(tv_isotropic(2, 1).value, abs=2e-3)
+        assert witness == pytest.approx(tv_isotropic(2, 1), abs=2e-3)
         res = lp_deficiency(src, tgt)
         assert res.value <= witness + 1e-9

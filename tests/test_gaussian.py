@@ -15,13 +15,13 @@ from scipy.special import ndtr
 
 from clonekit import (
     GaussianShift,
-    TvResult,
     chi2_cdf,
     crossing_radius_sq,
     stream,
     tv_ball_indicator,
     tv_isotropic,
-    tv_numeric,
+    tv_monte_carlo,
+    tv_quadrature,
 )
 
 # independent-oracle values (quadrature / erf / MC agreed before the build)
@@ -95,23 +95,21 @@ class TestCrossingRadius:
 
 class TestTvIsotropic:
     def test_identical(self):
-        res = tv_isotropic(1, 5)
-        assert res.value == 0.0
-        assert res.std_error == 0.0
+        assert tv_isotropic(1, 5) == 0.0
 
     def test_frozen_oracles(self):
-        assert tv_isotropic(2, 1).value == pytest.approx(TV_2_1, abs=2e-10)
-        assert tv_isotropic(4, 1).value == pytest.approx(TV_4_1, abs=2e-10)
-        assert tv_isotropic(2, 3).value == pytest.approx(TV_2_3, abs=2e-10)
-        assert tv_isotropic(2 / 0.95, 1).value == pytest.approx(TV_RATIO_REF, abs=2e-10)
+        assert tv_isotropic(2, 1) == pytest.approx(TV_2_1, abs=2e-10)
+        assert tv_isotropic(4, 1) == pytest.approx(TV_4_1, abs=2e-10)
+        assert tv_isotropic(2, 3) == pytest.approx(TV_2_3, abs=2e-10)
+        assert tv_isotropic(2 / 0.95, 1) == pytest.approx(TV_RATIO_REF, abs=2e-10)
 
     def test_m2_exact(self):
         # 2 [ (1 - 1/4) - (1 - 1/2) ] = 1/2 via the exponential chi-square CDF
-        assert tv_isotropic(2, 2).value == pytest.approx(0.5, abs=1e-12)
+        assert tv_isotropic(2, 2) == pytest.approx(0.5, abs=1e-12)
 
     def test_monotone_grid(self):
         for m in (1, 2, 3):
-            vals = [tv_isotropic(r, m).value for r in (1, 1.5, 2, 4, 8)]
+            vals = [tv_isotropic(r, m) for r in (1, 1.5, 2, 4, 8)]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_domain(self):
@@ -124,21 +122,19 @@ class TestTvIsotropic:
     )
     @settings(max_examples=200, deadline=None)
     def test_range_and_zero_iff(self, r, m):
-        res = tv_isotropic(r, m)
-        assert 0.0 <= res.value <= 2.0
+        value = tv_isotropic(r, m)
+        assert 0.0 <= value <= 2.0
         if r == 1.0:
-            assert res.value == 0.0
+            assert value == 0.0
         elif r > 1.0 + 1e-6:  # below float resolution the difference underflows
-            assert res.value > 0.0
+            assert value > 0.0
 
 
 class TestTvNumeric:
     def test_identical_pair(self):
         p = GaussianShift([0.3], [[1.7]])
-        quad = tv_numeric(p, p, "quadrature")
-        assert quad.value == pytest.approx(0.0, abs=1e-9)
-        mc = tv_numeric(p, p, "monte_carlo", budget=1000, rng=stream(0, "same"))
-        assert mc.value == 0.0 and mc.std_error == 0.0
+        assert tv_quadrature(p, p) == pytest.approx(0.0, abs=1e-9)
+        assert tv_monte_carlo(p, p, 1000, stream(0, "same")) == (0.0, 0.0)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_identical_pair_exact_zero_random_spd(self, m):
@@ -147,34 +143,31 @@ class TestTvNumeric:
             root = rng.standard_normal((m, m))
             cov = root @ root.T + 0.1 * np.eye(m)
             p = GaussianShift(rng.standard_normal(m), cov)
-            mc = tv_numeric(p, p, "monte_carlo", budget=2_000, rng=stream(0, "same", m, i))
-            assert mc.value == 0.0 and mc.std_error == 0.0
+            assert tv_monte_carlo(p, p, 2_000, stream(0, "same", m, i)) == (0.0, 0.0)
 
     def test_quadrature_matches_closed_form_1d(self):
         # exact at m = 1: the crossings cut the line into fixed-sign intervals
         p = GaussianShift([0.0], [[1.0]])
         for r in (2.0, 4.0):
             q = GaussianShift([0.0], [[r]])
-            assert tv_numeric(p, q, "quadrature").value == pytest.approx(
-                tv_isotropic(r, 1).value, abs=1e-12
-            )
+            assert tv_quadrature(p, q) == pytest.approx(tv_isotropic(r, 1), abs=1e-12)
 
     def test_quadrature_matches_closed_form_2d(self):
         p = GaussianShift([0, 0], np.eye(2))
         q = GaussianShift([0, 0], 2 * np.eye(2))
-        assert tv_numeric(p, q, "quadrature").value == pytest.approx(0.5, abs=1e-6)
+        assert tv_quadrature(p, q) == pytest.approx(0.5, abs=1e-6)
 
     def test_offset_exceeds_centered(self):
         p = GaussianShift([0.0], [[1.0]])
         q = GaussianShift([1.0], [[2.0]])
-        assert tv_numeric(p, q, "quadrature").value > TV_2_1 + 1e-3
+        assert tv_quadrature(p, q) > TV_2_1 + 1e-3
 
     def test_offset_monotone_2d(self):
         # distance to the wider Gaussian grows with the offset norm
         p = GaussianShift([0, 0], np.eye(2))
         direction = np.array([1.0, 1.0]) / math.sqrt(2)
         values = [
-            tv_numeric(p, GaussianShift(x * direction, 2 * np.eye(2)), "quadrature").value
+            tv_quadrature(p, GaussianShift(x * direction, 2 * np.eye(2)))
             for x in (0.0, 0.5, 1.0, 2.0)
         ]
         assert values[0] == pytest.approx(0.5, abs=1e-6)
@@ -183,15 +176,15 @@ class TestTvNumeric:
     def test_monte_carlo_within_error_bars(self):
         p = GaussianShift([0, 0, 0], np.eye(3))
         q = GaussianShift([0, 0, 0], 2 * np.eye(3))
-        res = tv_numeric(p, q, "monte_carlo", budget=100_000, rng=stream(5, "mc3"))
-        assert res.std_error > 0
-        assert abs(res.value - TV_2_3) < 4 * res.std_error
+        value, se = tv_monte_carlo(p, q, 100_000, stream(5, "mc3"))
+        assert se > 0
+        assert abs(value - TV_2_3) < 4 * se
 
     def test_sigma_independence_1d(self):
         for s2 in (0.25, 1.0, 9.0):
             p = GaussianShift([0.0], [[2 * s2]])
             q = GaussianShift([0.0], [[s2]])
-            assert tv_numeric(p, q, "quadrature").value == pytest.approx(TV_2_1, abs=1e-5)
+            assert tv_quadrature(p, q) == pytest.approx(TV_2_1, abs=1e-5)
 
     def test_sigma_independence_2d(self):
         rng = stream(9, "spd")
@@ -201,7 +194,7 @@ class TestTvNumeric:
             h = rng.standard_normal(2)
             p = GaussianShift(h, 2 * cov)
             q = GaussianShift(h, cov)
-            assert tv_numeric(p, q, "quadrature").value == pytest.approx(0.5, abs=1e-5)
+            assert tv_quadrature(p, q) == pytest.approx(0.5, abs=1e-5)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("r", [2, 4])
@@ -220,10 +213,9 @@ class TestTvNumeric:
         p = GaussianShift(rng.standard_normal(m), r * s)
         q = GaussianShift(rng.standard_normal(m), t)
         value, se = reference(p, q, 100_000, stream(12, "whitened-mc", m, r))
-        res = tv_numeric(p, q, "monte_carlo", budget=100_000,
-                         rng=stream(12, "whitened-mc", m, r))
-        assert res.value == pytest.approx(value, rel=1e-12)
-        assert res.std_error == pytest.approx(se, rel=1e-12)
+        res_value, res_se = tv_monte_carlo(p, q, 100_000, stream(12, "whitened-mc", m, r))
+        assert res_value == pytest.approx(value, rel=1e-12)
+        assert res_se == pytest.approx(se, rel=1e-12)
 
     @pytest.mark.parametrize("p,q", [
         (GaussianShift([0.0], [[1.0]]), GaussianShift([1.0], [[1.0]])),
@@ -237,7 +229,7 @@ class TestTvNumeric:
         d = q.mean - p.mean
         delta = math.sqrt(d @ np.linalg.solve(p.cov, d))
         exact = 4.0 * ndtr(0.5 * delta) - 2.0
-        assert tv_numeric(p, q, "quadrature").value == pytest.approx(exact, abs=1e-9)
+        assert tv_quadrature(p, q) == pytest.approx(exact, abs=1e-9)
 
     @pytest.mark.parametrize("s0", [0.02, 5.0])
     def test_quadrature_2d_reduces_to_marginal(self, s0):
@@ -248,11 +240,9 @@ class TestTvNumeric:
         rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
         p = GaussianShift([0, 0], np.eye(2))
         q = GaussianShift(rot @ [3.0, 0.0], rot @ np.diag([s0 * s0, 1.0]) @ rot.T)
-        marginal = tv_numeric(GaussianShift([0.0], [[1.0]]),
-                              GaussianShift([3.0], [[s0 * s0]]), "quadrature")
-        assert tv_numeric(p, q, "quadrature").value == pytest.approx(
-            marginal.value, abs=1e-6
-        )
+        marginal = tv_quadrature(GaussianShift([0.0], [[1.0]]),
+                                 GaussianShift([3.0], [[s0 * s0]]))
+        assert tv_quadrature(p, q) == pytest.approx(marginal, abs=1e-6)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_quadrature_matches_monte_carlo_general_pairs(self, m):
@@ -262,44 +252,36 @@ class TestTvNumeric:
             s, t = (g @ g.T + 0.2 * np.eye(m) for g in rng.standard_normal((2, m, m)))
             p = GaussianShift(rng.standard_normal(m), s)
             q = GaussianShift(rng.standard_normal(m), t)
-            quad = tv_numeric(p, q, "quadrature").value
-            mc = tv_numeric(p, q, "monte_carlo", budget=20_000,
-                            rng=stream(14, "general-mc", m, i))
-            assert abs(quad - mc.value) < 4 * mc.std_error
+            quad = tv_quadrature(p, q)
+            mc, se = tv_monte_carlo(p, q, 20_000, stream(14, "general-mc", m, i))
+            assert abs(quad - mc) < 4 * se
 
     def test_errors(self):
         p = GaussianShift([0.0], [[1.0]])
         q3 = GaussianShift([0, 0, 0], np.eye(3))
         with pytest.raises(ValueError):
-            tv_numeric(p, q3, "quadrature")
+            tv_quadrature(p, q3)
         with pytest.raises(ValueError):
-            tv_numeric(q3, q3, "quadrature")
+            tv_monte_carlo(p, q3, 100, stream(0, "err"))
         with pytest.raises(ValueError):
-            tv_numeric(p, p, "nonsense")
-        with pytest.raises(ValueError):
-            tv_numeric(p, p, "monte_carlo", budget=100, rng=None)
+            tv_quadrature(q3, q3)
+        for budget in (0, -5):
+            with pytest.raises(ValueError):
+                tv_monte_carlo(p, p, budget, stream(0, "err"))
+            with pytest.raises(ValueError):
+                tv_ball_indicator(2, 1, budget, stream(0, "err"))
 
 
 class TestBallIndicator:
     def test_matches_closed_form(self):
-        res = tv_ball_indicator(2, 1, 200_000, stream(3, "ball"))
-        assert abs(res.value - TV_2_1) < 4 * res.std_error
+        value, se = tv_ball_indicator(2, 1, 200_000, stream(3, "ball"))
+        assert abs(value - TV_2_1) < 4 * se
 
     def test_r_one(self):
-        assert tv_ball_indicator(1, 2, 10, stream(0, "b1")).value == 0.0
+        assert tv_ball_indicator(1, 2, 10, stream(0, "b1")) == (0.0, 0.0)
 
 
 class TestDataTypes:
-    def test_tv_result_validation(self):
-        with pytest.raises(ValueError):
-            TvResult(2.5, "closed_form")
-        with pytest.raises(ValueError):
-            TvResult(0.5, "made_up")
-        with pytest.raises(ValueError):
-            TvResult(0.5, "quadrature", std_error=0.1)
-        ok = TvResult(0.5, "monte_carlo", std_error=0.1)
-        assert ok.std_error == 0.1
-
     def test_gaussian_shift_validation(self):
         with pytest.raises(ValueError):
             GaussianShift([0, 0], [[1.0, 0.5], [0.4, 1.0]])
