@@ -4,10 +4,14 @@
 The LP value rises monotonically with the bound a and approaches the
 closed-form constant from below; the remaining gap at moderate a is the
 bounded-shift effect, roughly 0.18 / a for r = 2.  The last four columns
-are solver statistics: kernel entries in the final banded LP, pricing
+are solver statistics: kernel variables in the final banded LP, pricing
 rounds, and HiGHS iterations summed over the rounds, split into crossover
 iterations and the rest (scipy reports the simplex count there when HiGHS
 ran a simplex clean-up after crossover, else the interior-point count).
+The lattice and the shift lists are symmetric about 0, so with an even
+cell count (the default 201 edges) the LP is the reflection-reduced one:
+each kernel variable stands for an entry and its mirror image, about half
+the count of the unreduced LP on the same band.
 """
 
 import argparse

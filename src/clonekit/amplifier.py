@@ -143,6 +143,11 @@ def amplifier_loss_mc(
         raise ValueError(
             f"method must be auto, quadrature or monte_carlo, got {method!r}"
         )
+    # the route's own checks, made here too because r = 1 never calls it
+    if method == "quadrature" and m > 2:
+        raise ValueError("quadrature supports m <= 2 only")
+    if method == "monte_carlo" and budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
     results = []
     for h in grid:
         if h.shape != (m,):

@@ -170,6 +170,9 @@ def _run_tv(cfg: ExperimentConfig):
     r = float(p["r"])
     m = int(p["m"])
     budget = int(p["budget"])
+    if r < 1.0:
+        # before any GaussianShift: r <= 0 would fail there as "not positive definite"
+        raise ConfigurationError(f"isotropic closed form requires r >= 1, got {r}")
     unit = gaussian.GaussianShift(np.zeros(m), np.eye(m))
     scaled = gaussian.GaussianShift(np.zeros(m), r * np.eye(m))
     rows = []

@@ -25,6 +25,18 @@ duality; otherwise those entries join the LP and it is solved again (column
 generation, Gilmore & Gomory 1961).  The mask only grows, so the worst case
 is the full LP.  The size cap of 40 000 still applies to the full kernel,
 ``k_in * k_out``, which keeps instances at desk scale.
+
+Symmetric Gaussian pairs (a lattice and a shift list symmetric about 0) are
+invariant under the reflection R: x -> -x, h -> -h, which maps input cell j
+to ``Rj = k_in - 1 - j``, output cell y to ``Ry`` and shift t to ``p-1-t``.
+The LP's constraints are invariant too, so averaging an optimal kernel with
+its mirror image gives an optimal kernel with ``L[y, j] = L[Ry, Rj]``.
+When `lp_deficiency` finds both experiments mirrored and ``k_in`` even, it
+solves the LP over those kernels only: the columns ``j < k_in / 2``, the
+shifts ``t <= p-1-t`` and, in a self-mirrored middle shift, half its rows.
+That halves the kernel variables and the rows; the same build with no
+mirror term is the LP for every other input (`_solve_on_mask`).  The
+returned kernel is always the full ``k_out x k_in`` matrix.
 """
 
 from __future__ import annotations
@@ -48,6 +60,7 @@ _KERNEL_VARIABLE_CAP = 40_000
 _BOUNDARY_MASS_LIMIT = 1e-5
 _BAND_SDS = 4.5        # half-width of the starting band, in target-row sds
 _PRICING_TOL = 1e-9    # excluded entries priced below -_PRICING_TOL join the LP
+_MIRROR_TOL = 1e-14    # largest mismatch of an experiment and its mirror image
 _SOLVER_OPTIONS = {"primal_feasibility_tolerance": 1e-9,
                    "dual_feasibility_tolerance": 1e-9}
 
@@ -88,10 +101,21 @@ class FiniteExperiment:
 
 @dataclass(frozen=True)
 class DeficiencyResult:
+    """Optimum of the deficiency LP and how the solver reached it.
+
+    ``value`` is HiGHS's objective.  ``kernel`` is the LP solution clipped at
+    0 and renormalized, so `kernel_objective` scores it slightly above
+    ``value``: about 4e-9 on the 201-edge Gaussian LPs, which is above the
+    1e-9 pricing tolerance but far inside the 1e-8 agreement of the frozen
+    optima.  ``kernel_vars`` counts the kernel variables of the final LP:
+    under the reflection reduction each stands for an entry and its mirror
+    image, which halves the count.
+    """
+
     value: float
     kernel: np.ndarray     # column-stochastic (k_out x k_in): column j is a pmf
     lp_status: str
-    kernel_vars: int       # kernel entries in the final LP
+    kernel_vars: int       # kernel variables in the final LP
     pricing_rounds: int    # LP solves, one per pricing round
     # HiGHS iterations summed over the solves.  scipy's ``nit`` is the simplex
     # count when HiGHS cleaned up the crossover basis with simplex, else the
@@ -204,8 +228,11 @@ def lp_deficiency(
     slack variables dominating the absolute deviations with row sums at most
     t.  The kernel starts on `_starting_band` and grows by pricing (see
     `_priced_solve`) until the dual certificate proves the restricted optimum
-    optimal for the full LP.  Always feasible (route everything to any fixed
-    target row), so a failed solve is a numerical error, not an infeasibility.
+    optimal for the full LP.  When both experiments are mirror images of
+    themselves (`_mirrored`) and ``k_in`` is even, the LP is solved over the
+    reflection-symmetric kernels only, with half the kernel variables.
+    Always feasible (route everything to any fixed target row), so a failed
+    solve is a numerical error, not an infeasibility.
     """
     if source.params != target.params:
         raise ValueError("source and target must share the parameter list")
@@ -216,7 +243,20 @@ def lp_deficiency(
             f"kernel would need {k_in * k_out} variables, cap is {_KERNEL_VARIABLE_CAP}"
         )
     mask = _starting_band(source.probs, target.probs)
-    return _priced_solve(source.probs, target.probs, mask)[0]
+    mirror = k_in % 2 == 0 and _mirrored(source.probs) and _mirrored(target.probs)
+    if mirror:
+        mask = mask[: k_in // 2]
+    return _priced_solve(source.probs, target.probs, mask, mirror)[0]
+
+
+def _mirrored(probs: np.ndarray) -> bool:
+    """Whether row ``p-1-t`` is row ``t`` reversed, for every t.
+
+    The reflection x -> -x, h -> -h of a symmetric lattice and shift list.
+    `_MIRROR_TOL` absorbs the rounding of the CDF differences, which mirror
+    each other only to about 1e-15.
+    """
+    return bool(np.abs(probs[::-1, ::-1] - probs).max() <= _MIRROR_TOL)
 
 
 def _starting_band(probs_in: np.ndarray, probs_out: np.ndarray) -> np.ndarray:
@@ -246,25 +286,39 @@ def _starting_band(probs_in: np.ndarray, probs_out: np.ndarray) -> np.ndarray:
 
 
 def _priced_solve(
-    probs_in: np.ndarray, probs_out: np.ndarray, mask: np.ndarray
+    probs_in: np.ndarray, probs_out: np.ndarray, mask: np.ndarray,
+    mirror: bool = False,
 ) -> tuple[DeficiencyResult, np.ndarray]:
-    """Column generation from ``mask`` (k_in x k_out); returns the final mask too.
+    """Column generation from ``mask``; returns the final mask too.
+
+    ``mask[j, y]`` marks the kernel entries ``L[y, j]`` that start in the LP.
+    Without ``mirror`` it is ``k_in x k_out``.  With ``mirror`` it covers the
+    columns ``j < k_in / 2`` only, and each entry also stands for its mirror
+    image ``L[Ry, Rj]`` (see `_solve_on_mask`).
 
     Each round solves the LP over the kernel entries in the mask and prices
     every excluded entry with the basic duals.  The reduced cost of
-    ``L[y, j]`` is ``-(sum_t P_t[j] (lam+_{t,y} - lam-_{t,y}) + mu_j)``; when
-    none is below ``-_PRICING_TOL`` the duals are feasible for the full LP,
-    so the restricted optimum is the full optimum.  Otherwise the negative
-    entries join the mask.  The mask only grows, so the loop ends, at worst
-    on the full LP.  A solve that hits the iteration limit ends the loop
-    uncertified.
+    ``L[y, j]`` is ``-(g[j, y] + mu_j)`` with ``g[j, y] = sum_t P_t[j]
+    (lam+_{t,y} - lam-_{t,y})``, the duals of dropped rows taken as 0; under
+    ``mirror`` the entry also feeds row ``Ry`` through ``P_t[Rj]``, which
+    adds ``g[Rj, Ry]``.  When none is below ``-_PRICING_TOL`` the duals are
+    feasible for the LP over every entry, so the restricted optimum is its
+    optimum.  Under ``mirror`` that LP ranges over the reflection-symmetric
+    kernels, and averaging any kernel with its mirror image keeps it feasible
+    without raising its objective, so that optimum is the full one.
+    Otherwise the negative entries join the mask.  The mask only grows, so
+    the loop ends, at worst on every entry.  A solve that hits the iteration
+    limit ends the loop uncertified.
     """
     p, k_in = probs_in.shape
     k_out = probs_out.shape[1]
+    rows = _row_map(p, k_out, mirror)
+    plus, minus, weight = rows
+    kept = weight > 0
     mask = mask.copy()
     rounds = iters = crossover_iters = 0
     while True:
-        res = _solve_on_mask(probs_in, probs_out, mask)
+        res = _solve_on_mask(probs_in, probs_out, mask, rows, mirror)
         rounds += 1
         iters += int(res.nit)
         crossover_iters += int(res.crossover_nit)
@@ -273,9 +327,13 @@ def _priced_solve(
             break
         if res.status != 0:
             raise NumericalError(f"LP solver failed: {res.message}")
-        deviation = res.ineqlin.marginals[: 2 * p * k_out].reshape(p, 2, k_out)
-        dual = deviation[:, 0] - deviation[:, 1]
-        reduced = -(probs_in.T @ dual + res.eqlin.marginals[:, None])
+        marginals = res.ineqlin.marginals
+        dual = np.zeros((p, k_out))
+        dual[kept] = marginals[plus[kept]] - marginals[minus[kept]]
+        gain = probs_in.T @ dual
+        if mirror:
+            gain += gain[::-1, ::-1]
+        reduced = -(gain[: mask.shape[0]] + res.eqlin.marginals[:, None])
         entering = ~mask & (reduced < -_PRICING_TOL)
         if not entering.any():
             status = STATUS_OPTIMAL
@@ -285,6 +343,8 @@ def _priced_solve(
     js, ys = np.nonzero(mask)
     kernel = np.zeros((k_out, k_in))
     kernel[ys, js] = res.x[: js.size]
+    if mirror:
+        kernel[k_out - 1 - ys, k_in - 1 - js] = res.x[: js.size]
     # clean the tiny negative / normalization residue left by the solver
     kernel = np.maximum(kernel, 0.0)
     kernel /= kernel.sum(axis=0, keepdims=True)
@@ -300,56 +360,101 @@ def _priced_solve(
     return result, mask
 
 
-def _solve_on_mask(probs_in: np.ndarray, probs_out: np.ndarray, mask: np.ndarray):
+def _row_map(p: int, k_out: int, mirror: bool):
+    """Where each deviation ``(L P_t - Q_t)_y`` goes in the LP.
+
+    Returns ``(plus, minus, weight)``, each ``p x k_out``: the LP rows that
+    bound ``+(L P_t - Q_t)_y`` and ``-(L P_t - Q_t)_y`` by the slack
+    ``e[t, y]``, and that slack's weight in shift t's sum row.  The kept rows
+    of shift t form one block of + rows followed by one of - rows, in order
+    of t.  Without ``mirror`` every row is kept with weight 1.  With it, the
+    shifts past the middle are dropped (rows -1, weight 0): each is the
+    mirror image of a kept one.  The self-mirrored middle shift keeps the
+    rows ``y < Ry`` with weight 2, standing for y and Ry, and a middle row
+    ``y == Ry`` with weight 1.
+    """
+    t = np.arange(p)[:, None]
+    y = np.arange(k_out)
+    weight = np.ones((p, k_out))
+    if mirror:
+        rt, ry = p - 1 - t, k_out - 1 - y
+        weight = np.where(t < rt, 1.0, (t == rt) * (2.0 * (y < ry) + (y == ry)))
+    kept = weight > 0
+    per_shift = kept.sum(axis=1, keepdims=True)
+    slack = np.cumsum(kept).reshape(p, k_out) - 1
+    plus = np.where(kept, slack + np.cumsum(per_shift)[:, None] - per_shift, -1)
+    minus = np.where(kept, plus + per_shift, -1)
+    return plus, minus, weight
+
+
+def _solve_on_mask(
+    probs_in: np.ndarray, probs_out: np.ndarray, mask: np.ndarray, rows,
+    mirror: bool,
+):
     """HiGHS IPM solve of the LP over the kernel entries in ``mask``.
 
-    Variables are the masked ``L[y, j]`` (ordered by input j), the
-    absolute-deviation slacks ``e[t, y]`` and the objective t.  Rows
-    ``2 t k_out + y`` and ``(2 t + 1) k_out + y`` bound ``+-(L P_t - Q_t)_y``
-    by ``e[t, y]``; the last p rows bound ``sum_y e[t, y]`` by t.
+    Variables are the masked ``L[y, j]`` (ordered by input j), one slack
+    ``e[t, y]`` per kept deviation row of ``rows`` (`_row_map`) and the
+    objective t.  Each masked input column sums to 1.  The variable
+    ``L[y, j]`` adds ``P_t[j]`` to row ``(t, y)``; under ``mirror`` it also
+    stands for ``L[Ry, Rj]`` and adds ``P_t[Rj]`` to row ``(t, Ry)``.
+    Contributions to dropped rows are left out.  The last rows bound each
+    kept shift's weighted slack sum by t.
     """
+    plus, minus, weight = rows
     p, k_in = probs_in.shape
     k_out = probs_out.shape[1]
+    kept = weight > 0
     js, ys = np.nonzero(mask)
     n_l = js.size
-    n_e = p * k_out
+    n_e = int(kept.sum())
+    n_shifts = int(kept.any(axis=1).sum())
     n_var = n_l + n_e + 1
 
     a_eq = sparse.csr_matrix(
-        (np.ones(n_l), (js, np.arange(n_l))), shape=(k_in, n_var)
+        (np.ones(n_l), (js, np.arange(n_l))), shape=(mask.shape[0], n_var)
     )
 
     # (L P_t)_y = sum_j P_t[j] L[y, j]
-    kernel_vals = probs_in[:, js].ravel()
-    kernel_rows = (2 * k_out * np.arange(p)[:, None] + ys).ravel()
-    kernel_cols = np.tile(np.arange(n_l), p)
-    keep = kernel_vals != 0.0
-    kernel_vals, kernel_rows, kernel_cols = (
-        kernel_vals[keep], kernel_rows[keep], kernel_cols[keep]
+    kernel_vals = probs_in[:, js]
+    kernel_plus = plus[:, ys]
+    kernel_minus = minus[:, ys]
+    if mirror:
+        kernel_vals = np.hstack([kernel_vals, probs_in[:, k_in - 1 - js]])
+        kernel_plus = np.hstack([kernel_plus, plus[:, k_out - 1 - ys]])
+        kernel_minus = np.hstack([kernel_minus, minus[:, k_out - 1 - ys]])
+    kernel_cols = np.tile(np.arange(n_l), p * (1 + mirror))
+    kernel_vals, kernel_plus, kernel_minus = (
+        kernel_vals.ravel(), kernel_plus.ravel(), kernel_minus.ravel()
     )
-    slack = np.arange(n_e)
-    slack_t = slack // k_out
-    slack_rows = slack + slack_t * k_out
-    slack_cols = n_l + slack
-    rows = np.concatenate([
-        kernel_rows, kernel_rows + k_out, slack_rows, slack_rows + k_out,
-        2 * n_e + slack_t, 2 * n_e + np.arange(p),
+    keep = (kernel_vals != 0.0) & (kernel_plus >= 0)
+    kernel_vals, kernel_plus, kernel_minus, kernel_cols = (
+        kernel_vals[keep], kernel_plus[keep], kernel_minus[keep], kernel_cols[keep]
+    )
+    slack_t = np.nonzero(kept)[0]
+    slack_cols = n_l + np.arange(n_e)
+    entries = np.concatenate([
+        kernel_plus, kernel_minus, plus[kept], minus[kept],
+        2 * n_e + slack_t, 2 * n_e + np.arange(n_shifts),
     ])
     cols = np.concatenate([
         kernel_cols, kernel_cols, slack_cols, slack_cols, slack_cols,
-        np.full(p, n_var - 1),
+        np.full(n_shifts, n_var - 1),
     ])
     vals = np.concatenate([
-        kernel_vals, -kernel_vals, -np.ones(2 * n_e), np.ones(n_e), -np.ones(p),
+        kernel_vals, -kernel_vals, -np.ones(2 * n_e), weight[kept],
+        -np.ones(n_shifts),
     ])
-    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(2 * n_e + p, n_var))
-    b_ub = np.concatenate([
-        np.stack([probs_out, -probs_out], axis=1).ravel(), np.zeros(p),
-    ])
+    a_ub = sparse.csr_matrix(
+        (vals, (entries, cols)), shape=(2 * n_e + n_shifts, n_var)
+    )
+    b_ub = np.zeros(2 * n_e + n_shifts)
+    b_ub[plus[kept]] = probs_out[kept]
+    b_ub[minus[kept]] = -probs_out[kept]
 
     cost = np.zeros(n_var)
     cost[-1] = 1.0
     return linprog(
-        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(k_in),
+        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(mask.shape[0]),
         bounds=(0, None), method="highs-ipm", options=_SOLVER_OPTIONS,
     )

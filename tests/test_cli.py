@@ -185,10 +185,13 @@ class TestInvalidInput:
         ("tv", "routes = ball_indicator\nbudget = -5"),
         ("tv", "routes = monte_carlo\nbudget = 0"),
         ("tv", "routes = quadrature\nm = 3"),
+        ("amp-loss", "r = 1.0\nsigma = 1 0 0; 0 1 0; 0 0 1\nmethod = quadrature"),
+        ("amp-loss", "r = 1.0\nmethod = monte_carlo\nbudget = 0"),
     ], ids=[
         "lan-diag-n0", "coupling-n0", "amp-loss-closed-form-r1",
         "amp-loss-closed-form-r2", "tv-ball-budget0", "tv-ball-budget-neg",
-        "tv-mc-budget0", "tv-quadrature-m3",
+        "tv-mc-budget0", "tv-quadrature-m3", "amp-loss-quadrature-m3-r1",
+        "amp-loss-mc-budget0-r1",
     ])
     def test_exits_2_without_report(self, tmp_path, capsys, experiment, section):
         ini = tmp_path / "cfg.ini"
@@ -199,6 +202,18 @@ class TestInvalidInput:
         assert code == 2
         assert "configuration error" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r", ["0", "-1", "0.5"])
+    def test_tv_below_one_names_r(self, tmp_path, capsys, r):
+        # r <= 0 used to reach GaussianShift and fail as "not positive definite"
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[tv]\nr = {r}\nroutes = quadrature, closed_form\n")
+        out = tmp_path / "x.csv"
+        code = run_cli(["tv", "--config", str(ini), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "requires r >= 1" in err
         assert not out.exists()
 
 

@@ -25,7 +25,7 @@ from clonekit import (
     lp_deficiency,
     tv_isotropic,
 )
-from clonekit.deficiency import _priced_solve
+from clonekit.deficiency import _priced_solve, _starting_band
 
 TV_2_1 = 0.3321281500
 
@@ -286,3 +286,113 @@ class TestGaussianDeficiency:
         assert witness == pytest.approx(tv_isotropic(2, 1), abs=2e-3)
         res = lp_deficiency(src, tgt)
         assert res.value <= witness + 1e-9
+
+
+def mirrored_experiment(rng, p, k):
+    """Random pmf rows with row ``p-1-t`` equal to row ``t`` reversed."""
+    rows = rng.dirichlet(np.ones(k), size=p)
+    rows = rows + rows[::-1, ::-1]
+    return experiment(rows / rows.sum(axis=1, keepdims=True))
+
+
+@pytest.fixture
+def eq_rows(monkeypatch):
+    """Equality rows (kernel columns) of every LP that `lp_deficiency` solves."""
+    from clonekit import deficiency
+
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["A_eq"].shape[0])
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(deficiency, "linprog", spy)
+    return seen
+
+
+class TestMirrorReduction:
+    """Reflection-symmetric inputs solve the LP over mirrored kernels only."""
+
+    @pytest.mark.parametrize("mode", ["mean-shift", "variance-excess"])
+    @pytest.mark.parametrize("hs", [[-0.5, 0.0, 0.5], [-0.75, -0.25, 0.25, 0.75]])
+    def test_matches_unreduced_on_gaussian_pairs(self, eq_rows, mode, hs):
+        grid = GridSpec(-10, 10, 81)
+        src, tgt = discretize_gaussian_pair(hs, 1.0, 2.0, grid, mode)
+        res = lp_deficiency(src, tgt)
+        assert set(eq_rows) == {src.n_outcomes // 2}
+        assert res.lp_status == "optimal"
+        assert res.value == pytest.approx(unreduced_value(src, tgt), abs=1e-9)
+        kernel = res.kernel
+        assert kernel.shape == (tgt.n_outcomes, src.n_outcomes)
+        assert np.all(kernel >= 0.0)
+        assert np.abs(kernel.sum(axis=0) - 1.0).max() <= 1e-12
+        assert np.abs(kernel - kernel[::-1, ::-1]).max() <= 1e-12
+        assert kernel_objective(kernel, src, tgt) == pytest.approx(
+            res.value, abs=1e-8
+        )
+
+    @pytest.mark.parametrize("p, k_in, k_out", [
+        (1, 4, 3), (2, 6, 5), (3, 4, 7), (3, 8, 6), (4, 6, 9), (5, 10, 8),
+    ])
+    def test_matches_unreduced_on_mirrored_dirichlet(self, eq_rows, p, k_in, k_out):
+        # odd k_out puts a self-mirrored row in the middle of the output
+        rng = np.random.default_rng(100 * p + k_in + k_out)
+        src = mirrored_experiment(rng, p, k_in)
+        tgt = mirrored_experiment(rng, p, k_out)
+        res = lp_deficiency(src, tgt)
+        assert set(eq_rows) == {k_in // 2}
+        assert res.lp_status == "optimal"
+        assert res.value == pytest.approx(unreduced_value(src, tgt), abs=1e-9)
+        assert kernel_objective(res.kernel, src, tgt) == pytest.approx(
+            res.value, abs=1e-8
+        )
+
+    def test_pricing_grows_a_narrow_mirrored_mask(self):
+        grid = GridSpec(-10, 10, 81)
+        src, tgt = discretize_gaussian_pair([-0.5, 0.0, 0.5], 1.0, 2.0, grid)
+        half = src.n_outcomes // 2
+        start = np.eye(src.n_outcomes, tgt.n_outcomes, dtype=bool)[:half]
+        res, mask = _priced_solve(src.probs, tgt.probs, start, mirror=True)
+        assert res.pricing_rounds > 1
+        assert res.lp_status == "optimal"
+        assert mask.shape == start.shape and np.all(mask[start])
+        assert res.kernel_vars == mask.sum()
+        assert res.value == pytest.approx(unreduced_value(src, tgt), abs=1e-9)
+        assert np.all(res.kernel.T[:half][~mask] == 0.0)
+        assert kernel_objective(res.kernel, src, tgt) == pytest.approx(
+            res.value, abs=1e-8
+        )
+
+    def test_halves_the_kernel_variables(self):
+        grid = GridSpec(-10, 10, 81)
+        src, tgt = discretize_gaussian_pair([-0.5, 0.0, 0.5], 1.0, 2.0, grid)
+        band = _starting_band(src.probs, tgt.probs)
+        res = lp_deficiency(src, tgt)
+        assert res.pricing_rounds == 1
+        assert res.kernel_vars == band.sum() // 2
+
+    def test_asymmetric_shift_list_falls_back(self, eq_rows):
+        grid = GridSpec(-10, 10, 81)
+        src, tgt = discretize_gaussian_pair([-0.5, 0.0, 1.0], 1.0, 2.0, grid)
+        res = lp_deficiency(src, tgt)
+        assert set(eq_rows) == {src.n_outcomes}
+        assert res.value == pytest.approx(unreduced_value(src, tgt), abs=1e-9)
+
+    def test_perturbed_cell_falls_back(self, eq_rows):
+        grid = GridSpec(-10, 10, 81)
+        src, tgt = discretize_gaussian_pair([-0.5, 0.0, 0.5], 1.0, 2.0, grid)
+        probs = src.probs.copy()
+        probs[0, 30] += 1e-10
+        probs[0, 31] -= 1e-10
+        src = FiniteExperiment(src.params, probs)
+        res = lp_deficiency(src, tgt)
+        assert set(eq_rows) == {src.n_outcomes}
+        assert res.value == pytest.approx(unreduced_value(src, tgt), abs=1e-9)
+
+    def test_odd_cell_count_falls_back(self, eq_rows):
+        grid = GridSpec(-10, 10, 82)
+        src, tgt = discretize_gaussian_pair([-0.5, 0.0, 0.5], 1.0, 2.0, grid)
+        assert src.n_outcomes % 2 == 1
+        res = lp_deficiency(src, tgt)
+        assert set(eq_rows) == {src.n_outcomes}
+        assert res.value == pytest.approx(unreduced_value(src, tgt), abs=1e-9)
