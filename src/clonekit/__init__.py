@@ -29,17 +29,16 @@ from .cloner import (
     local_minimax_probe,
 )
 from .deficiency import (
-    ConfigurationError,
     DeficiencyResult,
     FiniteExperiment,
     GridSpec,
-    NumericalError,
     discretize_gaussian_pair,
     gaussian_cell_masses,
     identity_objective,
     kernel_objective,
     lp_deficiency,
 )
+from .errors import ConfigurationError, NumericalError
 from .families import (
     Bernoulli,
     Family,

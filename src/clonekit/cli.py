@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import amplifier, cloner, deficiency, gaussian, lan
-from .deficiency import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError
 from .families import GaussianLocation, get_family
 from .streams import stream
 

@@ -5,13 +5,18 @@ matrices P (p x K_in) and Q (p x K_out), the deficiency is
 
     ``inf over column-stochastic L of  max over rows  || L P_t - Q_t ||_1``,
 
-realized exactly as a linear program through slack variables bounding the
-absolute deviations.  This is the finite, computable form of the
-randomization criterion, used as an independent route to the Gaussian
-amplifier loss: discretizations of shifted Gaussian pairs are built with
-exact CDF cell masses (`discretize_gaussian_pair`), and the LP value is
-monotone in the shift bound and converges to the closed-form constant as the
-bound grows.
+realized exactly as a linear program in equality form: each deviation
+``(L P_t - Q_t)_y`` is one equality row that splits it into two nonnegative
+slacks, ``e+ - e-``, and the weighted sum of ``e+ + e-`` over each
+parameter's rows is bounded by the objective.  Since ``e+ + e- >= |dev|``,
+with equality at ``e+- = max(+-dev, 0)``, the optimum is that of bounding
+``|dev|`` by one slack through two inequality rows, with half the deviation
+rows for the interior-point method to factorize.  This is the finite,
+computable form of the randomization criterion, used as an independent route
+to the Gaussian amplifier loss: discretizations of shifted Gaussian pairs are
+built with exact CDF cell masses (`discretize_gaussian_pair`), and the LP
+value is monotone in the shift bound and converges to the closed-form
+constant as the bound grows.
 
 The LP is exact but solved on a band.  The optimal kernel is sparse, about
 two nonzeros per input cell near the map of source means onto target means,
@@ -49,6 +54,8 @@ from scipy import sparse
 from scipy.optimize import linprog
 from scipy.special import ndtr
 
+from .errors import ConfigurationError, NumericalError
+
 MODE_MEAN_SHIFT = "mean-shift"        # source N(h, s2)        -> target N(sqrt(r) h, s2)
 MODE_VARIANCE_EXCESS = "variance-excess"  # source N(sqrt(r) h, r s2) -> target N(sqrt(r) h, s2)
 _MODES = (MODE_MEAN_SHIFT, MODE_VARIANCE_EXCESS)
@@ -63,14 +70,6 @@ _PRICING_TOL = 1e-9    # excluded entries priced below -_PRICING_TOL join the LP
 _MIRROR_TOL = 1e-14    # largest mismatch of an experiment and its mirror image
 _SOLVER_OPTIONS = {"primal_feasibility_tolerance": 1e-9,
                    "dual_feasibility_tolerance": 1e-9}
-
-
-class ConfigurationError(ValueError):
-    """Raised when a requested discretization or LP size is unusable."""
-
-
-class NumericalError(RuntimeError):
-    """Raised when the LP solver fails for numerical reasons."""
 
 
 @dataclass(frozen=True)
@@ -105,11 +104,11 @@ class DeficiencyResult:
 
     ``value`` is HiGHS's objective.  ``kernel`` is the LP solution clipped at
     0 and renormalized, so `kernel_objective` scores it slightly above
-    ``value``: about 4e-9 on the 201-edge Gaussian LPs, which is above the
-    1e-9 pricing tolerance but far inside the 1e-8 agreement of the frozen
-    optima.  ``kernel_vars`` counts the kernel variables of the final LP:
-    under the reflection reduction each stands for an entry and its mirror
-    image, which halves the count.
+    ``value``: 3.6e-9 to 4.5e-9 on the 201-edge Gaussian LPs, which is
+    above the 1e-9 pricing tolerance but far inside the 1e-8 agreement of
+    the frozen optima.  ``kernel_vars`` counts the kernel variables of the
+    final LP, not its slacks: under the reflection reduction each stands for
+    an entry and its mirror image, which halves the count.
     """
 
     value: float
@@ -225,12 +224,13 @@ def lp_deficiency(
     """Optimal kernel and value of the one-sided deficiency LP.
 
     Minimizes t subject to column-stochastic L and, for every parameter,
-    slack variables dominating the absolute deviations with row sums at most
-    t.  The kernel starts on `_starting_band` and grows by pricing (see
-    `_priced_solve`) until the dual certificate proves the restricted optimum
-    optimal for the full LP.  When both experiments are mirror images of
-    themselves (`_mirrored`) and ``k_in`` is even, the LP is solved over the
-    reflection-symmetric kernels only, with half the kernel variables.
+    each deviation split into two nonnegative slacks whose summed total is
+    at most t.  The kernel starts on `_starting_band` and grows by pricing
+    (see `_priced_solve`) until the dual certificate proves the restricted
+    optimum optimal for the full LP.  When both experiments are mirror
+    images of themselves (`_mirrored`) and ``k_in`` is even, the LP is solved
+    over the reflection-symmetric kernels only, with half the kernel
+    variables.
     Always feasible (route everything to any fixed target row), so a failed
     solve is a numerical error, not an infeasibility.
     """
@@ -297,24 +297,25 @@ def _priced_solve(
     image ``L[Ry, Rj]`` (see `_solve_on_mask`).
 
     Each round solves the LP over the kernel entries in the mask and prices
-    every excluded entry with the basic duals.  The reduced cost of
-    ``L[y, j]`` is ``-(g[j, y] + mu_j)`` with ``g[j, y] = sum_t P_t[j]
-    (lam+_{t,y} - lam-_{t,y})``, the duals of dropped rows taken as 0; under
-    ``mirror`` the entry also feeds row ``Ry`` through ``P_t[Rj]``, which
-    adds ``g[Rj, Ry]``.  When none is below ``-_PRICING_TOL`` the duals are
-    feasible for the LP over every entry, so the restricted optimum is its
-    optimum.  Under ``mirror`` that LP ranges over the reflection-symmetric
-    kernels, and averaging any kernel with its mirror image keeps it feasible
-    without raising its objective, so that optimum is the full one.
-    Otherwise the negative entries join the mask.  The mask only grows, so
-    the loop ends, at worst on every entry.  A solve that hits the iteration
-    limit ends the loop uncertified.
+    every excluded entry with the basic duals: ``lam[t, y]`` of the
+    deviation rows, the first equality rows, and ``mu_j`` of the column-sum
+    rows after them.  The reduced cost of ``L[y, j]`` is ``-(g[j, y] +
+    mu_j)`` with ``g[j, y] = sum_t P_t[j] lam[t, y]``, the duals of dropped
+    rows taken as 0; under ``mirror`` the entry also feeds row ``Ry`` through
+    ``P_t[Rj]``, which adds ``g[Rj, Ry]``.  When none is below
+    ``-_PRICING_TOL`` the duals are feasible for the LP over every entry, so
+    the restricted optimum is its optimum.  Under ``mirror`` that LP ranges
+    over the reflection-symmetric kernels, and averaging any kernel with its
+    mirror image keeps it feasible without raising its objective, so that
+    optimum is the full one.  Otherwise the negative entries join the mask.
+    The mask only grows, so the loop ends, at worst on every entry.  A solve
+    that hits the iteration limit ends the loop uncertified.
     """
     p, k_in = probs_in.shape
     k_out = probs_out.shape[1]
     rows = _row_map(p, k_out, mirror)
-    plus, minus, weight = rows
-    kept = weight > 0
+    kept = rows[1] > 0
+    n_e = int(kept.sum())
     mask = mask.copy()
     rounds = iters = crossover_iters = 0
     while True:
@@ -327,13 +328,13 @@ def _priced_solve(
             break
         if res.status != 0:
             raise NumericalError(f"LP solver failed: {res.message}")
-        marginals = res.ineqlin.marginals
+        marginals = res.eqlin.marginals
         dual = np.zeros((p, k_out))
-        dual[kept] = marginals[plus[kept]] - marginals[minus[kept]]
+        dual[kept] = marginals[:n_e]
         gain = probs_in.T @ dual
         if mirror:
             gain += gain[::-1, ::-1]
-        reduced = -(gain[: mask.shape[0]] + res.eqlin.marginals[:, None])
+        reduced = -(gain[: mask.shape[0]] + marginals[n_e:, None])
         entering = ~mask & (reduced < -_PRICING_TOL)
         if not entering.any():
             status = STATUS_OPTIMAL
@@ -363,15 +364,14 @@ def _priced_solve(
 def _row_map(p: int, k_out: int, mirror: bool):
     """Where each deviation ``(L P_t - Q_t)_y`` goes in the LP.
 
-    Returns ``(plus, minus, weight)``, each ``p x k_out``: the LP rows that
-    bound ``+(L P_t - Q_t)_y`` and ``-(L P_t - Q_t)_y`` by the slack
-    ``e[t, y]``, and that slack's weight in shift t's sum row.  The kept rows
-    of shift t form one block of + rows followed by one of - rows, in order
-    of t.  Without ``mirror`` every row is kept with weight 1.  With it, the
-    shifts past the middle are dropped (rows -1, weight 0): each is the
-    mirror image of a kept one.  The self-mirrored middle shift keeps the
-    rows ``y < Ry`` with weight 2, standing for y and Ry, and a middle row
-    ``y == Ry`` with weight 1.
+    Returns ``(row, weight)``, each ``p x k_out``: the equality row that
+    splits ``(L P_t - Q_t)_y`` into the slacks ``e+[t, y] - e-[t, y]``, and
+    the weight of those slacks in shift t's sum row.  The kept rows are
+    numbered in order of ``(t, y)``.  Without ``mirror`` every row is kept
+    with weight 1.  With it, the shifts past the middle are dropped (row -1,
+    weight 0): each is the mirror image of a kept one.  The self-mirrored
+    middle shift keeps the rows ``y < Ry`` with weight 2, standing for y and
+    Ry, and a middle row ``y == Ry`` with weight 1.
     """
     t = np.arange(p)[:, None]
     y = np.arange(k_out)
@@ -380,11 +380,8 @@ def _row_map(p: int, k_out: int, mirror: bool):
         rt, ry = p - 1 - t, k_out - 1 - y
         weight = np.where(t < rt, 1.0, (t == rt) * (2.0 * (y < ry) + (y == ry)))
     kept = weight > 0
-    per_shift = kept.sum(axis=1, keepdims=True)
-    slack = np.cumsum(kept).reshape(p, k_out) - 1
-    plus = np.where(kept, slack + np.cumsum(per_shift)[:, None] - per_shift, -1)
-    minus = np.where(kept, plus + per_shift, -1)
-    return plus, minus, weight
+    row = np.where(kept, np.cumsum(kept).reshape(p, k_out) - 1, -1)
+    return row, weight
 
 
 def _solve_on_mask(
@@ -393,15 +390,18 @@ def _solve_on_mask(
 ):
     """HiGHS IPM solve of the LP over the kernel entries in ``mask``.
 
-    Variables are the masked ``L[y, j]`` (ordered by input j), one slack
-    ``e[t, y]`` per kept deviation row of ``rows`` (`_row_map`) and the
-    objective t.  Each masked input column sums to 1.  The variable
+    Variables are the masked ``L[y, j]`` (ordered by input j), the slacks
+    ``e+`` and then ``e-``, one each per kept deviation row of ``rows``
+    (`_row_map`), and the objective t.  The first equality rows set
+    ``(L P_t)_y - e+[t, y] + e-[t, y] = Q_t[y]``, one per kept deviation;
+    the rest make each masked input column sum to 1.  The variable
     ``L[y, j]`` adds ``P_t[j]`` to row ``(t, y)``; under ``mirror`` it also
     stands for ``L[Ry, Rj]`` and adds ``P_t[Rj]`` to row ``(t, Ry)``.
-    Contributions to dropped rows are left out.  The last rows bound each
-    kept shift's weighted slack sum by t.
+    Contributions to dropped rows are left out.  The inequality rows bound
+    each kept shift's weighted sum of ``e+ + e-`` by t; that sum is at least
+    the shift's L1 deviation, with equality when one slack of each pair is 0.
     """
-    plus, minus, weight = rows
+    row, weight = rows
     p, k_in = probs_in.shape
     k_out = probs_out.shape[1]
     kept = weight > 0
@@ -409,52 +409,40 @@ def _solve_on_mask(
     n_l = js.size
     n_e = int(kept.sum())
     n_shifts = int(kept.any(axis=1).sum())
-    n_var = n_l + n_e + 1
-
-    a_eq = sparse.csr_matrix(
-        (np.ones(n_l), (js, np.arange(n_l))), shape=(mask.shape[0], n_var)
-    )
+    n_var = n_l + 2 * n_e + 1
 
     # (L P_t)_y = sum_j P_t[j] L[y, j]
     kernel_vals = probs_in[:, js]
-    kernel_plus = plus[:, ys]
-    kernel_minus = minus[:, ys]
+    kernel_rows = row[:, ys]
     if mirror:
         kernel_vals = np.hstack([kernel_vals, probs_in[:, k_in - 1 - js]])
-        kernel_plus = np.hstack([kernel_plus, plus[:, k_out - 1 - ys]])
-        kernel_minus = np.hstack([kernel_minus, minus[:, k_out - 1 - ys]])
+        kernel_rows = np.hstack([kernel_rows, row[:, k_out - 1 - ys]])
     kernel_cols = np.tile(np.arange(n_l), p * (1 + mirror))
-    kernel_vals, kernel_plus, kernel_minus = (
-        kernel_vals.ravel(), kernel_plus.ravel(), kernel_minus.ravel()
-    )
-    keep = (kernel_vals != 0.0) & (kernel_plus >= 0)
-    kernel_vals, kernel_plus, kernel_minus, kernel_cols = (
-        kernel_vals[keep], kernel_plus[keep], kernel_minus[keep], kernel_cols[keep]
-    )
-    slack_t = np.nonzero(kept)[0]
-    slack_cols = n_l + np.arange(n_e)
-    entries = np.concatenate([
-        kernel_plus, kernel_minus, plus[kept], minus[kept],
-        2 * n_e + slack_t, 2 * n_e + np.arange(n_shifts),
-    ])
-    cols = np.concatenate([
-        kernel_cols, kernel_cols, slack_cols, slack_cols, slack_cols,
-        np.full(n_shifts, n_var - 1),
-    ])
+    kernel_vals, kernel_rows = kernel_vals.ravel(), kernel_rows.ravel()
+    keep = (kernel_vals != 0.0) & (kernel_rows >= 0)
+    dev_rows = np.arange(n_e)
+    slack_cols = n_l + np.arange(2 * n_e)      # e+ then e-
+    entries = np.concatenate([kernel_rows[keep], dev_rows, dev_rows, n_e + js])
+    cols = np.concatenate([kernel_cols[keep], slack_cols, np.arange(n_l)])
     vals = np.concatenate([
-        kernel_vals, -kernel_vals, -np.ones(2 * n_e), weight[kept],
-        -np.ones(n_shifts),
+        kernel_vals[keep], -np.ones(n_e), np.ones(n_e), np.ones(n_l),
     ])
-    a_ub = sparse.csr_matrix(
-        (vals, (entries, cols)), shape=(2 * n_e + n_shifts, n_var)
+    a_eq = sparse.csr_matrix(
+        (vals, (entries, cols)), shape=(n_e + mask.shape[0], n_var)
     )
-    b_ub = np.zeros(2 * n_e + n_shifts)
-    b_ub[plus[kept]] = probs_out[kept]
-    b_ub[minus[kept]] = -probs_out[kept]
+    b_eq = np.concatenate([probs_out[kept], np.ones(mask.shape[0])])
+
+    slack_t = np.tile(np.nonzero(kept)[0], 2)
+    a_ub = sparse.csr_matrix(
+        (np.concatenate([np.tile(weight[kept], 2), -np.ones(n_shifts)]),
+         (np.concatenate([slack_t, np.arange(n_shifts)]),
+          np.concatenate([slack_cols, np.full(n_shifts, n_var - 1)]))),
+        shape=(n_shifts, n_var),
+    )
 
     cost = np.zeros(n_var)
     cost[-1] = 1.0
     return linprog(
-        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(mask.shape[0]),
+        cost, A_ub=a_ub, b_ub=np.zeros(n_shifts), A_eq=a_eq, b_eq=b_eq,
         bounds=(0, None), method="highs-ipm", options=_SOLVER_OPTIONS,
     )

@@ -31,6 +31,7 @@ import math
 import numpy as np
 from scipy.special import gammaln, pdtrc
 
+from .errors import NumericalError
 from .lawdist import EmpiricalLaw
 
 logger = logging.getLogger(__name__)
@@ -309,7 +310,7 @@ class Poisson(Family):
         # the true mass beyond hi; 1 - p.sum() would measure rounding error
         tail = pdtrc(hi, lam)
         if tail > _POISSON_TAIL:
-            raise RuntimeError(f"statistic law truncation left mass {tail}")
+            raise NumericalError(f"statistic law truncation left mass {tail}")
         return EmpiricalLaw(k, p / p.sum())
 
     def conditional_resample(self, theta, n, target_stat, rng):

@@ -174,6 +174,24 @@ class TestEmitReport:
         assert not out.exists()
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_poisson_truncation_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        import clonekit.families as families
+
+        # every tail mass reads 1, so each Poisson statistic law fails
+        monkeypatch.setattr(families, "pdtrc", lambda k, lam: 1.0)
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(
+            "[clone-sim]\nfamily = poisson\ntheta = 2\nn_grid = 100\n"
+            "reps = 10\nbootstrap = 10\n"
+        )
+        out = tmp_path / "c.csv"
+        code = run_cli(["clone-sim", "--config", str(ini), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert not out.exists()
+        assert "numerical failure" in err
+        assert "Traceback" not in err
+
 
 class TestInvalidInput:
     @pytest.mark.parametrize("experiment,section", [

@@ -297,13 +297,20 @@ def mirrored_experiment(rng, p, k):
 
 @pytest.fixture
 def eq_rows(monkeypatch):
-    """Equality rows (kernel columns) of every LP that `lp_deficiency` solves."""
+    """Kernel columns of every LP that `lp_deficiency` solves.
+
+    Counts the column-sum rows: the equality rows with no entry in a column
+    that the inequality rows use (the slacks and the objective).  The
+    deviation rows each hold a slack.
+    """
     from clonekit import deficiency
 
     seen = []
 
     def spy(*args, **kwargs):
-        seen.append(kwargs["A_eq"].shape[0])
+        a_eq = sparse.csc_matrix(kwargs["A_eq"])
+        slack = sparse.csc_matrix(kwargs["A_ub"]).getnnz(axis=0) > 0
+        seen.append(int((a_eq[:, slack].getnnz(axis=1) == 0).sum()))
         return linprog(*args, **kwargs)
 
     monkeypatch.setattr(deficiency, "linprog", spy)
@@ -362,6 +369,19 @@ class TestMirrorReduction:
         assert kernel_objective(res.kernel, src, tgt) == pytest.approx(
             res.value, abs=1e-8
         )
+
+    def test_pricing_grows_narrow_mirrored_dirichlet_masks(self):
+        # pricing that leaves out the mirror image's deviation rows stops
+        # early, above the optimum, on several of these instances
+        p, k_in, k_out = 4, 6, 5
+        start = np.eye(k_in, k_out, dtype=bool)[: k_in // 2]
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            src = mirrored_experiment(rng, p, k_in)
+            tgt = mirrored_experiment(rng, p, k_out)
+            res = _priced_solve(src.probs, tgt.probs, start, mirror=True)[0]
+            assert res.lp_status == "optimal"
+            assert res.value == pytest.approx(unreduced_value(src, tgt), abs=1e-9)
 
     def test_halves_the_kernel_variables(self):
         grid = GridSpec(-10, 10, 81)
