@@ -37,6 +37,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,8 +87,13 @@ class ClonerConfig:
         return round(self.r * self.n)
 
 
-@dataclass(frozen=True)
-class CloneRunRecord:
+class CloneRunRecord(NamedTuple):
+    """What one `clone` call computed, and its rn-fold output sample.
+
+    Immutable; a named tuple because `clone` builds one per call and a tuple
+    is about half the cost of a frozen dataclass to build.
+    """
+
     theta_hat: float
     smoothed_value: float
     amplified: float

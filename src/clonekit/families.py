@@ -291,7 +291,7 @@ class Poisson(Family):
 
     def sample(self, theta, n, rng):
         self.require_in_domain(theta)
-        return rng.poisson(theta, n).astype(np.int64)
+        return rng.poisson(theta, n)
 
     def sample_stat(self, theta, n, size, rng):
         self.require_in_domain(theta)
@@ -314,9 +314,40 @@ class Poisson(Family):
         return EmpiricalLaw(k, p / p.sum())
 
     def conditional_resample(self, theta, n, target_stat, rng):
-        # given the total, the cell counts are uniform-multinomial
+        """Cell counts given the total t: exactly Multinomial(t, 1/n each).
+
+        Two exact draws of that law: ``multinomial`` draws one binomial per
+        cell, O(n), and the counts of t uniform picks among the n cells
+        (``bincount``) cost O(t) plus a fixed ~6 us.  The picks are used
+        when ``n >= 100 and t < 30 n`` (`_picks_cheaper`).  Best-of times in
+        microseconds, multinomial / picks, on a 2-vCPU VM with numpy 2.4.6:
+
+        ====  =========  =========  =========  ==========  ==========
+        n     t = n/2    t = 2n     t = 8n     t = 28n     t = 32n
+        ====  =========  =========  =========  ==========  ==========
+        20    3.0 / 6.2  3.5 / 6.4  4.4 / 7.7  7.4 / 10.5  5.1 / 12.0
+        50    4.8 / 6.7  5.8 / 6.9  8.1 / 9.4  16 / 15     9.5 / 18
+        100   7.6 / 7.4  11 / 8     17 / 18    29 / 22     16 / 25
+        200   12 / 7     17 / 9     27 / 16    55 / 39     29 / 43
+        800   42 / 9     60 / 16    95 / 41    203 / 129   108 / 149
+        1600  81 / 11    118 / 24   189 / 72   423 / 254   213 / 310
+        ====  =========  =========  =========  ==========  ==========
+
+        Below about 100 cells the fixed cost of the picks loses.  Above a
+        cell mean t/n of 30, numpy's binomial leaves inversion, whose cost
+        grows with the mean, for the constant-time BTPE sampler, and
+        multinomial wins again.
+        """
         t = self._require_count(target_stat, n)
-        return rng.multinomial(t, np.full(n, 1.0 / n)).astype(np.int64)
+        if _picks_cheaper(t, n):
+            counts = np.bincount(rng.integers(0, n, t), minlength=n)
+            return counts.astype(np.int64, copy=False)
+        return rng.multinomial(t, np.full(n, 1.0 / n))
+
+
+def _picks_cheaper(t: int, n: int) -> bool:
+    """The rule of `Poisson.conditional_resample`: draw t counts in n cells by picks."""
+    return n >= 100 and t < 30 * n
 
 
 class GaussianLocation(Family):
@@ -360,9 +391,12 @@ class GaussianLocation(Family):
         return n * theta + self.sigma * math.sqrt(n) * rng.standard_normal(size)
 
     def conditional_resample(self, theta, n, target_stat, rng):
-        # bridge: fresh noise recentered so the sample mean is pinned
+        # bridge: fresh noise recentered so the sample mean is pinned; in
+        # place, and bit-identical to target_stat / n + (z - z.mean())
         z = self.sigma * rng.standard_normal(n)
-        return target_stat / n + (z - z.mean())
+        z -= z.mean()
+        z += target_stat / n
+        return z
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"GaussianLocation(sigma={self.sigma})"

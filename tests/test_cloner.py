@@ -1,5 +1,6 @@
 """Cloner pipeline: estimation grid, gain arithmetic, loss measurement."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -203,6 +204,35 @@ class TestCloneMatchesReference:
             assert rec.target_stat == pytest.approx(target, rel=1e-12, abs=0.0)
             assert rec.smoothed_value == pytest.approx(smoothed, rel=1e-12, abs=0.0)
             assert rec.amplified == pytest.approx(amplified, rel=1e-12, abs=0.0)
+
+
+class TestByteIdentity:
+    """Outputs that a faster `stream` or `clone` must leave unchanged."""
+
+    def test_bernoulli_outputs_pinned(self):
+        # 150 calls at criterion 6's fixed point and 150 at n = 400, r = 2;
+        # integer outputs only, so the digest holds on every platform
+        fam, digest = Bernoulli(), hashlib.sha256()
+        for cfg, frozen in (
+            (ClonerConfig(n=20, r=1.0, delta=0.05, epsilon=0.0, seed=23), True),
+            (ClonerConfig(n=400, r=2.0, delta=0.05, epsilon=0.01, seed=23), False),
+        ):
+            for i in range(150):
+                rng = stream(cfg.seed, "byte-identity", cfg.n, i)
+                data = fam.sample(0.3, cfg.n, rng)
+                rec = clone(fam, data, cfg, rng, theta_hat=0.3 if frozen else None)
+                digest.update(rec.output.astype("<i8").tobytes())
+        assert digest.hexdigest() == (
+            "455613d7159be5327bfac5b1a3b29b6e816544f6c5feaf8d7231cd80164aa354"
+        )
+
+    def test_gaussian_bridge_matches_formula_bitwise(self):
+        fam = GaussianLocation(1.7)
+        for i, (n, target) in enumerate([(2, 4.0), (16, -3.25), (800, 123.456),
+                                         (801, 1e-3)]):
+            out = fam.conditional_resample(0.0, n, target, stream(24, "bridge", i))
+            z = fam.sigma * stream(24, "bridge", i).standard_normal(n)
+            assert out.tobytes() == (target / n + (z - z.mean())).tobytes()
 
 
 class TestCloneLoss:

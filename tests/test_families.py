@@ -5,6 +5,7 @@ density and against empirical score variance before anything downstream
 trusts them.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from clonekit import (
     get_family,
     stream,
 )
+from clonekit import families
 from clonekit.gaussian import _adaptive_simpson
 
 ALL = [
@@ -296,6 +298,37 @@ class TestConditionalResample:
         assert abs(first.var() - 1.0) < 4 * math.sqrt(2.0 / reps)
         ks = stats.kstest(first, lambda x: stats.norm.cdf(x, loc=theta))
         assert ks.pvalue > 0.01
+
+    @pytest.mark.parametrize("picks", [False, True], ids=["multinomial", "picks"])
+    def test_poisson_joint_law_enumerated(self, monkeypatch, picks):
+        # each exact draw of the uniform multinomial, forced: every count
+        # vector of t = 4 in n = 3 cells, against the multinomial pmf
+        monkeypatch.setattr(families, "_picks_cheaper", lambda t, n: picks)
+        fam, n, t, reps = Poisson(), 3, 4, 30_000
+        rng = stream(17, "joint", "picks" if picks else "multinomial")
+        vectors = [v for v in itertools.product(range(t + 1), repeat=n) if sum(v) == t]
+        assert len(vectors) == 15
+        index = {v: k for k, v in enumerate(vectors)}
+        counts = np.zeros(len(vectors))
+        for _ in range(reps):
+            out = fam.conditional_resample(2.0, n, t, rng)
+            assert out.dtype == np.int64 and out.sum() == t
+            counts[index[tuple(out.tolist())]] += 1
+        pmf = np.array([math.factorial(t) / math.prod(map(math.factorial, v)) / n**t
+                        for v in vectors])
+        assert pmf.sum() == pytest.approx(1.0)
+        assert chi2_gof(counts, pmf * reps) > 0.01
+
+    def test_poisson_resampler_rule(self):
+        # picks where their O(t) beats multinomial's O(n): not below 100
+        # cells, and not from a cell mean of 30 on (numpy's BTPE binomial)
+        assert families._picks_cheaper(1_600, 800)
+        assert families._picks_cheaper(0, 100)
+        assert not families._picks_cheaper(40, 20)
+        assert not families._picks_cheaper(30 * 800, 800)
+        for n, t in ((800, 1_600), (20, 40)):
+            out = Poisson().conditional_resample(2.0, n, t, stream(17, "rule", n))
+            assert out.dtype == np.int64 and out.shape == (n,) and out.sum() == t
 
     def test_clipping_warns_not_raises(self, caplog):
         fam = Bernoulli()

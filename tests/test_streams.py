@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clonekit import stream, stream_key
+from clonekit.streams import _ZERO_COUNTER
 
 
 def _paths():
@@ -77,6 +78,25 @@ class TestStreams:
             stream(1, "a", 0.5)
         with pytest.raises(TypeError):
             stream_key(1, 2.0)
+
+    def test_bool_path_part_rejected(self):
+        # True == 1, but the two would hash to different keys
+        with pytest.raises(TypeError):
+            stream(1, True)
+        with pytest.raises(TypeError):
+            stream_key(1, "a", False)
+
+    def test_shared_zero_counter_stays_zero(self):
+        assert not _ZERO_COUNTER.flags.writeable
+        with pytest.raises(ValueError):
+            _ZERO_COUNTER[0] = 1
+        live = [stream(5, "counter", i) for i in range(10)]
+        for rng in live:
+            rng.random(1_000)
+            assert rng.bit_generator.state["state"]["counter"].any()
+        np.testing.assert_array_equal(_ZERO_COUNTER, np.zeros(4, dtype=np.uint64))
+        fresh = stream(5, "counter", "fresh").bit_generator.state["state"]["counter"]
+        np.testing.assert_array_equal(fresh, np.zeros(4, dtype=np.uint64))
 
     def test_distinct_paths_differ(self):
         assert stream(1, "a", 0).random() != stream(1, "a", 1).random()
