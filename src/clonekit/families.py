@@ -9,7 +9,7 @@ built-ins the score is affine in the outcome,
 
 so the normalized score sum is a bijective affine function of S and
 conditioning on the score equals conditioning on S, which is exactly
-samplable (arrangements for Bernoulli, multinomial for Poisson, a mean bridge
+samplable (arrangements for Bernoulli, uniform picks for Poisson, a mean bridge
 for the Gaussian).  Resampling a dataset on its own statistic leaves the
 joint law invariant.
 
@@ -37,6 +37,9 @@ from .lawdist import EmpiricalLaw
 logger = logging.getLogger(__name__)
 
 _POISSON_TAIL = 1e-11
+
+# picks per draw in `Poisson.conditional_resample`: 8 MiB of int64
+_PICKS_CHUNK = 1 << 20
 
 
 class Family:
@@ -316,38 +319,36 @@ class Poisson(Family):
     def conditional_resample(self, theta, n, target_stat, rng):
         """Cell counts given the total t: exactly Multinomial(t, 1/n each).
 
-        Two exact draws of that law: ``multinomial`` draws one binomial per
-        cell, O(n), and the counts of t uniform picks among the n cells
-        (``bincount``) cost O(t) plus a fixed ~6 us.  The picks are used
-        when ``n >= 100 and t < 30 n`` (`_picks_cheaper`).  Best-of times in
-        microseconds, multinomial / picks, on a 2-vCPU VM with numpy 2.4.6:
+        Drawn as the counts of t uniform picks among the n cells
+        (``bincount``): a fixed ~6 us plus O(t).  ``rng.multinomial`` draws
+        one binomial per cell instead, O(n).  Best-of times in microseconds,
+        multinomial / picks, on a 2-vCPU VM with numpy 2.4.6:
 
         ====  =========  =========  =========  ==========  ==========
         n     t = n/2    t = 2n     t = 8n     t = 28n     t = 32n
         ====  =========  =========  =========  ==========  ==========
         20    3.0 / 6.2  3.5 / 6.4  4.4 / 7.7  7.4 / 10.5  5.1 / 12.0
-        50    4.8 / 6.7  5.8 / 6.9  8.1 / 9.4  16 / 15     9.5 / 18
         100   7.6 / 7.4  11 / 8     17 / 18    29 / 22     16 / 25
-        200   12 / 7     17 / 9     27 / 16    55 / 39     29 / 43
         800   42 / 9     60 / 16    95 / 41    203 / 129   108 / 149
         1600  81 / 11    118 / 24   189 / 72   423 / 254   213 / 310
         ====  =========  =========  =========  ==========  ==========
 
-        Below about 100 cells the fixed cost of the picks loses.  Above a
-        cell mean t/n of 30, numpy's binomial leaves inversion, whose cost
-        grows with the mean, for the constant-time BTPE sampler, and
-        multinomial wins again.
+        The picks win from about 100 cells up at cell means t/n below 30,
+        where the clone calls of the benchmarks run (rn = 800, t about
+        1600); multinomial wins on fewer cells or larger means, which no
+        benchmark reaches, so only the picks are kept.
+
+        The statistic has no upper bound, so the picks are drawn and counted
+        at most `_PICKS_CHUNK` at a time: memory stays within 8 MiB of picks
+        plus the n counts however large t is, and time grows as t (about
+        11 ms per million picks).
         """
         t = self._require_count(target_stat, n)
-        if _picks_cheaper(t, n):
-            counts = np.bincount(rng.integers(0, n, t), minlength=n)
-            return counts.astype(np.int64, copy=False)
-        return rng.multinomial(t, np.full(n, 1.0 / n))
-
-
-def _picks_cheaper(t: int, n: int) -> bool:
-    """The rule of `Poisson.conditional_resample`: draw t counts in n cells by picks."""
-    return n >= 100 and t < 30 * n
+        counts = np.bincount(rng.integers(0, n, min(t, _PICKS_CHUNK)), minlength=n)
+        for done in range(_PICKS_CHUNK, t, _PICKS_CHUNK):
+            size = min(_PICKS_CHUNK, t - done)
+            counts += np.bincount(rng.integers(0, n, size), minlength=n)
+        return counts.astype(np.int64, copy=False)
 
 
 class GaussianLocation(Family):

@@ -253,8 +253,10 @@ class TestConditionalResample:
             assert out.mean() == pytest.approx(2.0, abs=1e-12)
 
     def test_poisson_total_pinned(self):
-        out = Poisson().conditional_resample(2.0, 5, 11, stream(13, "ptot"))
-        assert out.sum() == 11 and np.all(out >= 0)
+        for n, t in ((5, 11), (800, 1_600), (3, 0)):
+            out = Poisson().conditional_resample(2.0, n, t, stream(13, "ptot", n))
+            assert out.sum() == t and np.all(out >= 0)
+            assert out.dtype == np.int64 and out.shape == (n,)
 
     def test_law_invariance_bernoulli(self):
         # resampling on the own statistic: count preserved per draw, and the
@@ -299,13 +301,13 @@ class TestConditionalResample:
         ks = stats.kstest(first, lambda x: stats.norm.cdf(x, loc=theta))
         assert ks.pvalue > 0.01
 
-    @pytest.mark.parametrize("picks", [False, True], ids=["multinomial", "picks"])
-    def test_poisson_joint_law_enumerated(self, monkeypatch, picks):
-        # each exact draw of the uniform multinomial, forced: every count
-        # vector of t = 4 in n = 3 cells, against the multinomial pmf
-        monkeypatch.setattr(families, "_picks_cheaper", lambda t, n: picks)
+    @pytest.mark.parametrize("chunk", [1 << 20, 3], ids=["one-draw", "chunked"])
+    def test_poisson_joint_law_enumerated(self, monkeypatch, chunk):
+        # every count vector of t = 4 in n = 3 cells against the multinomial
+        # pmf, with the picks drawn at once and in chunks of 3 and 1
+        monkeypatch.setattr(families, "_PICKS_CHUNK", chunk)
         fam, n, t, reps = Poisson(), 3, 4, 30_000
-        rng = stream(17, "joint", "picks" if picks else "multinomial")
+        rng = stream(17, "joint", chunk)
         vectors = [v for v in itertools.product(range(t + 1), repeat=n) if sum(v) == t]
         assert len(vectors) == 15
         index = {v: k for k, v in enumerate(vectors)}
@@ -318,17 +320,6 @@ class TestConditionalResample:
                         for v in vectors])
         assert pmf.sum() == pytest.approx(1.0)
         assert chi2_gof(counts, pmf * reps) > 0.01
-
-    def test_poisson_resampler_rule(self):
-        # picks where their O(t) beats multinomial's O(n): not below 100
-        # cells, and not from a cell mean of 30 on (numpy's BTPE binomial)
-        assert families._picks_cheaper(1_600, 800)
-        assert families._picks_cheaper(0, 100)
-        assert not families._picks_cheaper(40, 20)
-        assert not families._picks_cheaper(30 * 800, 800)
-        for n, t in ((800, 1_600), (20, 40)):
-            out = Poisson().conditional_resample(2.0, n, t, stream(17, "rule", n))
-            assert out.dtype == np.int64 and out.shape == (n,) and out.sum() == t
 
     def test_clipping_warns_not_raises(self, caplog):
         fam = Bernoulli()
