@@ -10,14 +10,7 @@ Every distance is reported in the L1 convention, twice the total-variation
 distance, so it lies in [0, 2].
 """
 
-from .amplifier import (
-    AmplifierLossReport,
-    amplifier_loss_mc,
-    amplify,
-    build_rotation,
-    expand_to_clones,
-    gaussian_clone,
-)
+from .amplifier import AmplifierLossReport, amplifier_loss_mc
 from .cloner import (
     CloneLossReport,
     ClonerConfig,
@@ -50,7 +43,6 @@ from .gaussian import (
     GaussianShift,
     chi2_cdf,
     crossing_radius_sq,
-    tv_ball_indicator,
     tv_isotropic,
     tv_monte_carlo,
     tv_quadrature,

@@ -185,12 +185,11 @@ def _run_tv(cfg: ExperimentConfig):
             value, se = gaussian.tv_monte_carlo(
                 unit, scaled, budget, stream(cfg.seed, "tv", route)
             )
-        elif route == "ball_indicator":
-            value, se = gaussian.tv_ball_indicator(
-                r, m, budget, stream(cfg.seed, "tv", route)
-            )
         else:
-            raise ConfigurationError(f"unknown tv route {route!r}")
+            raise ConfigurationError(
+                f"unknown tv route {route!r}; "
+                "choose from closed_form, quadrature, monte_carlo"
+            )
         rows.append({
             "r": r, "m": m, "method": route, "value": value, "std_error": se,
         })

@@ -11,17 +11,15 @@ cross.  This constant is the worst-case loss of the optimal gain-``sqrt(r)``
 amplifier of a Gaussian shift family, and it does not depend on the shift
 covariance; both facts are exercised by the numeric routines here.
 
-Four evaluation routes are provided, one function each: the chi-square
+Three evaluation routes are provided, one function each: the chi-square
 closed form (`tv_isotropic`), deterministic quadrature for arbitrary
-Gaussian pairs with m <= 2 (`tv_quadrature`), unbiased Monte Carlo for
-arbitrary Gaussian pairs (`tv_monte_carlo`), and a ball-indicator Monte
-Carlo estimate for the isotropic mean-zero case (`tv_ball_indicator`).  The
-closed form and quadrature return a float; the Monte Carlo routes return
-``(value, std_error)``.  The quadrature route sums normal-CDF masses between
-exact density crossings.  The Monte Carlo route evaluates each density ratio
-in its sampling law's whitened frame, elementwise in the same standard-normal
-draws that `GaussianShift.sample` would use, with no per-sample triangular
-solve.
+Gaussian pairs with m <= 2 (`tv_quadrature`), and unbiased Monte Carlo for
+arbitrary Gaussian pairs (`tv_monte_carlo`).  The closed form and quadrature
+return a float; the Monte Carlo route returns ``(value, std_error)``.  The
+quadrature route sums normal-CDF masses between exact density crossings.  The
+Monte Carlo route evaluates each density ratio in its sampling law's whitened
+frame, elementwise in the same standard-normal draws that
+`GaussianShift.sample` would use, with no per-sample triangular solve.
 """
 
 from __future__ import annotations
@@ -72,9 +70,6 @@ class GaussianShift:
         logdet = 2.0 * np.sum(np.log(np.diag(self._chol)))
         out = -0.5 * (quad + logdet + self.dim * _LOG_2PI)
         return float(out[0]) if single else out
-
-    def density(self, x: np.ndarray) -> np.ndarray:
-        return np.exp(self.log_density(x))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         z = rng.standard_normal((n, self.dim))
@@ -192,30 +187,6 @@ def tv_monte_carlo(
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     return _tv_monte_carlo(p, q, budget, rng)
-
-
-def tv_ball_indicator(
-    r: float, m: int, budget: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """``(value, std_error)`` by Monte Carlo for the isotropic mean-zero pair.
-
-    Uses ``2 [ P(||Z||^2 <= t*) - P(||sqrt(r) Z'||^2 <= t*) ]`` with the known
-    crossing radius; an independent check of `tv_isotropic`.
-    """
-    if r < 1.0:
-        raise ValueError(f"ball indicator requires r >= 1, got {r}")
-    if budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
-    if r == 1.0:
-        return 0.0, 0.0
-    t_star = crossing_radius_sq(r, m)
-    z1 = rng.standard_normal((budget, m))
-    z2 = rng.standard_normal((budget, m))
-    a = (np.sum(z1 * z1, axis=1) <= t_star).astype(float)
-    b = (r * np.sum(z2 * z2, axis=1) <= t_star).astype(float)
-    value = 2.0 * (a.mean() - b.mean())
-    se = 2.0 * math.sqrt(a.var() / budget + b.var() / budget)
-    return max(float(value), 0.0), se
 
 
 def _tv_monte_carlo(

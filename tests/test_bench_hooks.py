@@ -62,7 +62,7 @@ def test_every_per_layer_metric_has_a_live_hook():
 _TINY_CONFIG = """\
 [tv]
 m = 2
-routes = closed_form, quadrature, monte_carlo, ball_indicator
+routes = closed_form, quadrature, monte_carlo
 budget = 1000
 [amp-loss]
 h_grid = 0, 1

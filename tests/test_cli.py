@@ -199,17 +199,17 @@ class TestInvalidInput:
         ("coupling", "n_grid = 0, 16"),
         ("amp-loss", "r = 1.0\nmethod = closed_form"),
         ("amp-loss", "r = 2.0\nmethod = closed_form"),
-        ("tv", "routes = ball_indicator\nbudget = 0"),
-        ("tv", "routes = ball_indicator\nbudget = -5"),
         ("tv", "routes = monte_carlo\nbudget = 0"),
+        ("tv", "routes = monte_carlo\nbudget = -5"),
         ("tv", "routes = quadrature\nm = 3"),
         ("amp-loss", "r = 1.0\nsigma = 1 0 0; 0 1 0; 0 0 1\nmethod = quadrature"),
         ("amp-loss", "r = 1.0\nmethod = monte_carlo\nbudget = 0"),
+        ("amp-loss", "r = 0.5"),
     ], ids=[
         "lan-diag-n0", "coupling-n0", "amp-loss-closed-form-r1",
-        "amp-loss-closed-form-r2", "tv-ball-budget0", "tv-ball-budget-neg",
-        "tv-mc-budget0", "tv-quadrature-m3", "amp-loss-quadrature-m3-r1",
-        "amp-loss-mc-budget0-r1",
+        "amp-loss-closed-form-r2", "tv-mc-budget0", "tv-mc-budget-neg",
+        "tv-quadrature-m3", "amp-loss-quadrature-m3-r1",
+        "amp-loss-mc-budget0-r1", "amp-loss-r-below-one",
     ])
     def test_exits_2_without_report(self, tmp_path, capsys, experiment, section):
         ini = tmp_path / "cfg.ini"
@@ -220,6 +220,17 @@ class TestInvalidInput:
         assert code == 2
         assert "configuration error" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unknown_tv_route_names_the_valid_ones(self, tmp_path, capsys):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[tv]\nroutes = ball_indicator\n")
+        out = tmp_path / "x.csv"
+        code = run_cli(["tv", "--config", str(ini), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unknown tv route 'ball_indicator'" in err
+        assert "closed_form, quadrature, monte_carlo" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("r", ["0", "-1", "0.5"])

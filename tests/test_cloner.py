@@ -10,6 +10,7 @@ from clonekit import (
     Bernoulli,
     ClonerConfig,
     GaussianLocation,
+    GaussianShift,
     Poisson,
     clone,
     clone_loss_discrete,
@@ -25,6 +26,8 @@ from clonekit.cloner import (
     _stat_targets,
 )
 from clonekit.lan import smoothed_score
+
+TV_2_1 = 0.3321281500  # || N(0, 1) - N(0, 2) ||_1, independent oracle
 
 
 class TestConfig:
@@ -147,6 +150,29 @@ class TestClonePipeline:
         # the bridge construction pins the output mean at the real target
         assert rec.output.mean() == pytest.approx(rec.target_stat / cfg.rn, rel=1e-12)
         assert rec.output.size == cfg.rn
+
+    def test_cloning_loss_equals_amplification_loss(self):
+        # frozen at 0 with epsilon = 0, the target is exactly r S: the output
+        # sum is N(rn theta, r^2 n sigma^2) where rn i.i.d. draws would sum to
+        # N(rn theta, rn sigma^2), so the loss is the amplifier's at r = 2, m = 1
+        fam, theta, reps = GaussianLocation(1.5), 0.7, 20_000
+        cfg = ClonerConfig(n=2, r=2.0, delta=0.5, epsilon=0.0, seed=5)
+        stats, sums = np.empty(reps), np.empty(reps)
+        for i in range(reps):
+            rng = stream(cfg.seed, "clone-amp", i)
+            data = fam.sample(theta, cfg.n, rng)
+            stats[i] = data.sum()
+            sums[i] = clone(fam, data, cfg, rng, theta_hat=0.0).output.sum()
+        assert np.abs(sums - cfg.r * stats).max() < 1e-12
+        mean = cfg.rn * theta
+        p = GaussianShift([mean], [[cfg.r * cfg.rn * fam.sigma**2]])  # output sum
+        q = GaussianShift([mean], [[cfg.rn * fam.sigma**2]])          # target sum
+        xs = sums[:, None]
+        a = np.maximum(0.0, 1.0 - np.exp(q.log_density(xs) - p.log_density(xs)))
+        ys = q.sample(reps, stream(cfg.seed, "clone-amp-target"))
+        b = np.maximum(0.0, 1.0 - np.exp(p.log_density(ys) - q.log_density(ys)))
+        se = math.sqrt(a.var() / reps + b.var() / reps)
+        assert abs(a.mean() + b.mean() - TV_2_1) < 4 * se
 
     def test_length_check(self):
         cfg = ClonerConfig(n=10, r=2.0, delta=0.2, epsilon=0.0, seed=9)

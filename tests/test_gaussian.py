@@ -18,7 +18,6 @@ from clonekit import (
     chi2_cdf,
     crossing_radius_sq,
     stream,
-    tv_ball_indicator,
     tv_isotropic,
     tv_monte_carlo,
     tv_quadrature,
@@ -268,17 +267,6 @@ class TestTvNumeric:
         for budget in (0, -5):
             with pytest.raises(ValueError):
                 tv_monte_carlo(p, p, budget, stream(0, "err"))
-            with pytest.raises(ValueError):
-                tv_ball_indicator(2, 1, budget, stream(0, "err"))
-
-
-class TestBallIndicator:
-    def test_matches_closed_form(self):
-        value, se = tv_ball_indicator(2, 1, 200_000, stream(3, "ball"))
-        assert abs(value - TV_2_1) < 4 * se
-
-    def test_r_one(self):
-        assert tv_ball_indicator(1, 2, 10, stream(0, "b1")) == (0.0, 0.0)
 
 
 class TestDataTypes:
