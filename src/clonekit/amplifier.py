@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .gaussian import GaussianShift, tv_monte_carlo, tv_quadrature
 
 
@@ -50,31 +51,23 @@ def amplifier_loss_mc(
     ``"monte_carlo"`` (`tv_monte_carlo` with ``budget`` and ``rng``), or
     ``"auto"``, which picks quadrature for m <= 2 and Monte Carlo above.
     """
-    if r < 1.0:
-        raise ValueError(f"amplification factor must be >= 1, got {r}")
+    if not r >= 1.0:
+        raise ConfigurationError(f"amplification factor must be >= 1, got {r}")
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     m = sigma.shape[0]
     grid = [np.atleast_1d(np.asarray(h, dtype=float)) for h in h_grid]
     if not grid:
-        raise ValueError("empty shift grid")
+        raise ConfigurationError("empty shift grid")
     if method == "auto":
         method = "quadrature" if m <= 2 else "monte_carlo"
     if method not in ("quadrature", "monte_carlo"):
-        raise ValueError(
+        raise ConfigurationError(
             f"method must be auto, quadrature or monte_carlo, got {method!r}"
         )
-    # the route's own checks, made here too because r = 1 never calls it
-    if method == "quadrature" and m > 2:
-        raise ValueError("quadrature supports m <= 2 only")
-    if method == "monte_carlo" and budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
     results = []
     for h in grid:
         if h.shape != (m,):
-            raise ValueError(f"shift shape {h.shape} does not match dim {m}")
-        if r == 1.0:
-            results.append((0.0, 0.0))
-            continue
+            raise ConfigurationError(f"shift shape {h.shape} does not match dim {m}")
         amplified = GaussianShift(math.sqrt(r) * h, r * sigma)
         target = GaussianShift(math.sqrt(r) * h, sigma)
         if method == "quadrature":

@@ -11,8 +11,9 @@ path, so identical (config, seed) pairs produce byte-identical CSV on one
 platform.  ``--workers`` is accepted and echoed in JSON reports, but every
 experiment runs in one process, so it cannot change a number.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (the
-report, flagged as partial, is still written).
+Exit codes: 0 success, 2 configuration error (`ConfigurationError`, from
+`_param` or the library's checks), 3 numerical failure (a partial report is
+still written); any other exception is a bug and exits 1 with a traceback.
 """
 
 from __future__ import annotations
@@ -85,8 +86,24 @@ class ExperimentConfig:
     fmt: str
 
 
+def _real(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
+def _param(params: dict, key: str, convert=_real):
+    """``params[key]`` through ``convert``; a value it rejects is named by key."""
+    text = params[key]
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigurationError(f"{key} = {text!r}: {exc}") from None
+
+
 def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+    return [_real(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -95,19 +112,19 @@ def _parse_ints(text: str) -> list[int]:
 
 def _parse_points(text: str) -> list[list[float]]:
     """Comma-separated points, space-separated coordinates."""
-    return [[float(c) for c in tok.split()] for tok in text.split(",") if tok.strip()]
+    return [[_real(c) for c in tok.split()] for tok in text.split(",") if tok.strip()]
 
 
 def _parse_matrix(text: str) -> np.ndarray:
     """Semicolon-separated rows, space-separated entries; '1.0' is 1x1."""
-    rows = [[float(c) for c in part.split()] for part in text.split(";") if part.strip()]
+    rows = [[_real(c) for c in part.split()] for part in text.split(";") if part.strip()]
     return np.array(rows, dtype=float)
 
 
 def _family_from(params: dict):
     fid = params["family"]
     if fid == "gauss-loc":
-        return GaussianLocation(sigma=float(params["family_sigma"]))
+        return GaussianLocation(sigma=_param(params, "family_sigma"))
     return get_family(fid)
 
 
@@ -127,31 +144,31 @@ def resolve_config(
     file_seed = file_workers = file_out = file_fmt = None
     if config_path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(config_path)
+        try:
+            read = parser.read(config_path)
+            section = dict(parser[experiment]) if parser.has_section(experiment) else {}
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"config file {config_path!r}: {exc}") from None
         if not read:
             raise ConfigurationError(f"config file {config_path!r} not readable")
-        if parser.has_section(experiment):
-            for key, value in parser.items(experiment):
-                if key == "seed":
-                    file_seed = int(value)
-                elif key == "workers":
-                    file_workers = int(value)
-                elif key == "out":
-                    file_out = value
-                elif key == "format":
-                    file_fmt = value
-                elif key in params:
-                    params[key] = value
-                else:
-                    raise ConfigurationError(
-                        f"unknown key {key!r} for experiment {experiment!r}"
-                    )
+        for key, value in section.items():
+            if key == "seed":
+                file_seed = _param(section, key, int)
+            elif key == "workers":
+                file_workers = _param(section, key, int)
+            elif key == "out":
+                file_out = value
+            elif key == "format":
+                file_fmt = value
+            elif key in params:
+                params[key] = value
+            else:
+                raise ConfigurationError(
+                    f"unknown key {key!r} for experiment {experiment!r}"
+                )
     fmt_final = fmt or file_fmt or "csv"
     if fmt_final not in ("csv", "json"):
         raise ConfigurationError(f"format must be csv or json, got {fmt_final!r}")
-    reps = params.get("reps")
-    if reps is not None and int(reps) < 1:
-        raise ConfigurationError("reps must be at least 1")
     return ExperimentConfig(
         experiment=experiment,
         params=params,
@@ -167,18 +184,16 @@ def resolve_config(
 
 def _run_tv(cfg: ExperimentConfig):
     p = cfg.params
-    r = float(p["r"])
-    m = int(p["m"])
-    budget = int(p["budget"])
-    if r < 1.0:
-        # before any GaussianShift: r <= 0 would fail there as "not positive definite"
-        raise ConfigurationError(f"isotropic closed form requires r >= 1, got {r}")
+    r = _param(p, "r")
+    m = _param(p, "m", int)
+    budget = _param(p, "budget", int)
+    closed = gaussian.tv_isotropic(r, m)  # names a bad r or m before GaussianShift can
     unit = gaussian.GaussianShift(np.zeros(m), np.eye(m))
     scaled = gaussian.GaussianShift(np.zeros(m), r * np.eye(m))
     rows = []
     for route in [s.strip() for s in p["routes"].split(",") if s.strip()]:
         if route == "closed_form":
-            value, se = gaussian.tv_isotropic(r, m), 0.0
+            value, se = closed, 0.0
         elif route == "quadrature":
             value, se = gaussian.tv_quadrature(unit, scaled), 0.0
         elif route == "monte_carlo":
@@ -198,13 +213,13 @@ def _run_tv(cfg: ExperimentConfig):
 
 def _run_amp_loss(cfg: ExperimentConfig):
     p = cfg.params
-    r = float(p["r"])
-    sigma = _parse_matrix(p["sigma"])
+    r = _param(p, "r")
+    sigma = _param(p, "sigma", _parse_matrix)
     m = sigma.shape[0]
-    pts = _parse_points(p["h_grid"])
+    pts = _param(p, "h_grid", _parse_points)
     hs = [pt if len(pt) == m else pt + [0.0] * (m - len(pt)) for pt in pts]
     report = amplifier.amplifier_loss_mc(
-        r, sigma, hs, int(p["budget"]),
+        r, sigma, hs, _param(p, "budget", int),
         stream(cfg.seed, "amp-loss"), method=p["method"],
     )
     rows = [
@@ -223,17 +238,19 @@ def _run_amp_loss(cfg: ExperimentConfig):
 
 def _run_deficiency(cfg: ExperimentConfig):
     p = cfg.params
-    r = float(p["r"])
-    sigma = float(p["sigma"])
+    r = _param(p, "r")
+    sigma = _param(p, "sigma")
     grid = deficiency.GridSpec(
-        float(p["grid_lo"]), float(p["grid_hi"]), int(p["grid_count"])
+        _param(p, "grid_lo"), _param(p, "grid_hi"), _param(p, "grid_count", int)
     )
-    step = float(p["h_step"])
+    step = _param(p, "h_step")
+    if step <= 0:
+        raise ConfigurationError(f"h_step must be positive, got {step}")
     mode = p["mode"]
     closed = gaussian.tv_isotropic(r, 1)
     rows = []
     ok = True
-    for a in _parse_floats(p["a_list"]):
+    for a in _param(p, "a_list", _parse_floats):
         count = int(math.floor(a / step + 1e-9))
         hs = [i * step for i in range(-count, count + 1)]
         source, target = deficiency.discretize_gaussian_pair(hs, sigma, r, grid, mode)
@@ -253,24 +270,23 @@ def _run_deficiency(cfg: ExperimentConfig):
 def _run_clone_sim(cfg: ExperimentConfig):
     p = cfg.params
     family = _family_from(p)
-    theta = float(p["theta"])
-    r = float(p["r"])
-    delta = float(p["delta"])
-    reps = int(p["reps"])
-    reference = gaussian.tv_isotropic(r / (1.0 - delta), 1)
+    theta = _param(p, "theta")
+    r = _param(p, "r")
+    delta = _param(p, "delta")
+    reps = _param(p, "reps", int)
     rows = []
-    for n in _parse_ints(p["n_grid"]):
+    for n in _param(p, "n_grid", _parse_ints):
         run_cfg = cloner.ClonerConfig(
-            n=n, r=r, delta=delta, epsilon=float(p["epsilon"]), seed=cfg.seed
+            n=n, r=r, delta=delta, epsilon=_param(p, "epsilon"), seed=cfg.seed
         )
         rep = cloner.clone_loss_discrete(
-            family, theta, run_cfg, reps, bootstrap=int(p["bootstrap"]),
+            family, theta, run_cfg, reps, bootstrap=_param(p, "bootstrap", int),
         )
         rows.append({
             "family": family.name, "theta": theta, "n": n, "rn": run_cfg.rn,
             "loss": rep.loss, "ci_low": rep.ci_low, "ci_high": rep.ci_high,
             "clip_rate": rep.clip_rate, "reps": reps,
-            "reference": reference,
+            "reference": gaussian.tv_isotropic(r / (1.0 - delta), 1),
         })
     return rows, True
 
@@ -278,14 +294,14 @@ def _run_clone_sim(cfg: ExperimentConfig):
 def _run_minimax_probe(cfg: ExperimentConfig):
     p = cfg.params
     family = _family_from(p)
-    theta = float(p["theta"])
+    theta = _param(p, "theta")
     run_cfg = cloner.ClonerConfig(
-        n=int(p["n"]), r=float(p["r"]), delta=float(p["delta"]),
-        epsilon=float(p["epsilon"]), seed=cfg.seed,
+        n=_param(p, "n", int), r=_param(p, "r"), delta=_param(p, "delta"),
+        epsilon=_param(p, "epsilon"), seed=cfg.seed,
     )
-    hs = _parse_floats(p["h_grid"])
+    hs = _param(p, "h_grid", _parse_floats)
     report = cloner.local_minimax_probe(
-        family, theta, float(p["a"]), hs, run_cfg, int(p["reps"]),
+        family, theta, _param(p, "a"), hs, run_cfg, _param(p, "reps", int),
     )
     rows = [
         {
@@ -304,11 +320,11 @@ def _run_minimax_probe(cfg: ExperimentConfig):
 def _run_lan_diag(cfg: ExperimentConfig):
     p = cfg.params
     family = _family_from(p)
-    n_grid = _parse_ints(p["n_grid"])
-    threshold = float(p["threshold"])
-    reps = int(p["reps"])
+    n_grid = _param(p, "n_grid", _parse_ints)
+    threshold = _param(p, "threshold")
+    reps = _param(p, "reps", int)
     report = lan.lan_residual_rate(
-        family, float(p["theta"]), float(p["h"]), n_grid, threshold, reps, cfg.seed,
+        family, _param(p, "theta"), _param(p, "h"), n_grid, threshold, reps, cfg.seed,
     )
     rows = [
         {
@@ -325,11 +341,11 @@ def _run_lan_diag(cfg: ExperimentConfig):
 def _run_coupling(cfg: ExperimentConfig):
     p = cfg.params
     family = _family_from(p)
-    n_grid = _parse_ints(p["n_grid"])
-    epsilon_dev = float(p["epsilon_dev"])
-    resolution = int(p["resolution"])
+    n_grid = _param(p, "n_grid", _parse_ints)
+    epsilon_dev = _param(p, "epsilon_dev")
+    resolution = _param(p, "resolution", int)
     report = lan.quantile_coupling(
-        family, float(p["theta"]), n_grid, epsilon_dev, resolution,
+        family, _param(p, "theta"), n_grid, epsilon_dev, resolution,
     )
     rows = [
         {
@@ -471,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
             args.out, args.format,
         )
         return run_experiment(cfg)
-    except ValueError as exc:  # ConfigurationError is a ValueError
+    except ConfigurationError as exc:
         print(f"clonekit: configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -41,6 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .families import Family
 from .streams import stream
 
@@ -60,19 +61,19 @@ class ClonerConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+        if not self.n >= 2:
+            raise ConfigurationError("n must be at least 2")
         if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.r < 1.0:
-            raise ValueError("clone ratio r must be >= 1")
+            raise ConfigurationError("delta must lie in (0, 1)")
+        if not self.epsilon >= 0.0:
+            raise ConfigurationError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not 1.0 <= self.r < math.inf:
+            raise ConfigurationError(f"clone ratio r must lie in [1, inf), got {self.r}")
         rn = self.r * self.n
         if abs(rn - round(rn)) > 1e-9:
-            raise ValueError(f"r * n = {rn} is not an integer")
+            raise ConfigurationError(f"r * n = {rn} is not an integer")
         if self.n1 < 1 or self.n2 < 1:
-            raise ValueError("both pipeline stages need at least one sample")
+            raise ConfigurationError("both pipeline stages need at least one sample")
 
     @property
     def n1(self) -> int:
@@ -130,7 +131,7 @@ def estimate_theta(family: Family, data: np.ndarray) -> float:
     data = np.asarray(data, dtype=float)
     n = data.size
     if n == 0:
-        raise ValueError("empty estimation sample")
+        raise ConfigurationError("empty estimation sample")
     return float(_grid_estimate(family, data.mean(), n))
 
 
@@ -171,7 +172,7 @@ def clone(
     """
     data = np.asarray(data)
     if data.size != cfg.n:
-        raise ValueError(f"expected {cfg.n} samples, got {data.size}")
+        raise ConfigurationError(f"expected {cfg.n} samples, got {data.size}")
     if theta_hat is None:
         that = estimate_theta(family, data[: cfg.n1])
         score_data = data[cfg.n1:]
@@ -286,9 +287,9 @@ def clone_loss_discrete(
     drawn and S2 sums all n draws.
     """
     if not family.discrete:
-        raise ValueError(f"count-law loss needs a discrete family, got {family.name}")
+        raise ConfigurationError(f"count-law loss needs a discrete family, got {family.name}")
     if reps < 2:
-        raise ValueError("reps must be at least 2")
+        raise ConfigurationError("reps must be at least 2")
     family.require_in_domain(theta)
     atoms, weights, clipped = _replicate_atoms(family, theta, cfg, reps, label, theta_hat)
 
@@ -353,13 +354,15 @@ def local_minimax_probe(
     The supremum over a grid can only grow when the grid grows, matching the
     monotone bounded-shift behaviour of the limit experiment.
     """
-    if a < 0:
-        raise ValueError("neighbourhood radius a must be nonnegative")
+    if not a >= 0:
+        raise ConfigurationError(f"neighbourhood radius a must be nonnegative, got {a}")
     hs = tuple(float(h) for h in h_grid)
+    if not hs:
+        raise ConfigurationError("empty shift grid h_grid")
     reports = []
     for i, h in enumerate(hs):
         if abs(h) > a + 1e-12:
-            raise ValueError(f"grid point {h} outside |h| <= {a}")
+            raise ConfigurationError(f"grid point {h} outside |h| <= {a}")
         shifted = theta + h / math.sqrt(cfg.n)
         family.require_in_domain(shifted)
         reports.append(

@@ -84,14 +84,14 @@ class FiniteExperiment:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "params", tuple(self.params))
         if probs.shape[0] != len(self.params):
-            raise ValueError("one pmf row per parameter required")
+            raise ConfigurationError("one pmf row per parameter required")
         if not np.all(np.isfinite(probs)):
-            raise ValueError("non-finite cell mass")
+            raise ConfigurationError("non-finite cell mass")
         if np.any(probs < -1e-15):
-            raise ValueError("negative cell mass")
+            raise ConfigurationError("negative cell mass")
         rowsums = probs.sum(axis=1)
         if np.abs(rowsums - 1.0).max() > 1e-12:
-            raise ValueError("pmf rows must sum to 1 within 1e-12")
+            raise ConfigurationError("pmf rows must sum to 1 within 1e-12")
 
     @property
     def n_outcomes(self) -> int:
@@ -123,8 +123,8 @@ class DeficiencyResult:
     crossover_iters: int
 
     def __post_init__(self) -> None:
-        if self.value < -1e-9:
-            raise ValueError("deficiency must be nonnegative")
+        if not self.value >= -1e-9:
+            raise NumericalError(f"deficiency must be nonnegative, got {self.value}")
 
 
 def gaussian_cell_masses(mean: float, sd: float, edges: np.ndarray) -> np.ndarray:
@@ -178,9 +178,9 @@ def discretize_gaussian_pair(
     """
     if mode not in _MODES:
         raise ConfigurationError(f"unknown mode {mode!r}; choose from {_MODES}")
-    if sigma <= 0:
-        raise ConfigurationError("sigma must be positive")
-    if r < 1.0:
+    if not sigma > 0:
+        raise ConfigurationError(f"sigma must be positive, got {sigma}")
+    if not r >= 1.0:
         raise ConfigurationError("r must be >= 1")
     hs = [float(h) for h in h_list]
     if not hs:
@@ -214,7 +214,7 @@ def kernel_objective(
 def identity_objective(source: FiniteExperiment, target: FiniteExperiment) -> float:
     """Objective of the identity kernel (source and target on one lattice)."""
     if source.n_outcomes != target.n_outcomes:
-        raise ValueError("identity kernel needs matching outcome counts")
+        raise ConfigurationError("identity kernel needs matching outcome counts")
     return float(np.abs(source.probs - target.probs).sum(axis=1).max())
 
 
@@ -235,7 +235,7 @@ def lp_deficiency(
     solve is a numerical error, not an infeasibility.
     """
     if source.params != target.params:
-        raise ValueError("source and target must share the parameter list")
+        raise ConfigurationError("source and target must share the parameter list")
     k_in = source.n_outcomes
     k_out = target.n_outcomes
     if k_in * k_out > _KERNEL_VARIABLE_CAP:

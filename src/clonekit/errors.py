@@ -1,8 +1,9 @@
-"""Errors that the CLI maps to its exit codes: 2 configuration, 3 numerical."""
+"""`ConfigurationError` (CLI exit 2): every check on a caller's argument raises it.
+`NumericalError` (exit 3): a computation on valid input failed.  Anything else is a bug."""
 
 
 class ConfigurationError(ValueError):
-    """Raised when a requested discretization or LP size is unusable."""
+    """An argument or config value the routine cannot use; names it."""
 
 
 class NumericalError(RuntimeError):

@@ -31,7 +31,7 @@ import math
 import numpy as np
 from scipy.special import gammaln, pdtrc
 
-from .errors import NumericalError
+from .errors import ConfigurationError, NumericalError
 from .lawdist import EmpiricalLaw
 
 logger = logging.getLogger(__name__)
@@ -57,7 +57,7 @@ class Family:
 
     def require_in_domain(self, theta: float) -> None:
         if not self.in_domain(theta):
-            raise ValueError(
+            raise ConfigurationError(
                 f"{self.name}: theta={theta} outside ({self.param_lo}, {self.param_hi})"
             )
 
@@ -134,7 +134,7 @@ class Family:
     def suff_stat(data: np.ndarray) -> float:
         data = np.asarray(data, dtype=float)
         if data.size == 0:
-            raise ValueError("empty sample")
+            raise ConfigurationError("empty sample")
         return float(data.sum())
 
     def score_from_stat(self, theta: float, n: int, stat: float) -> float:
@@ -166,7 +166,7 @@ class Family:
         """``target_stat`` as an int, if it is an integer inside `stat_bounds(n)`."""
         lo, hi = self.stat_bounds(n)
         if not isinstance(target_stat, (int, np.integer)) or not lo <= target_stat <= hi:
-            raise ValueError(
+            raise ConfigurationError(
                 f"{self.name}: statistic {target_stat!r} is not an integer count "
                 f"in [{lo}, {hi}] for n={n}"
             )
@@ -360,8 +360,8 @@ class GaussianLocation(Family):
     discrete = False
 
     def __init__(self, sigma: float = 1.0):
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not sigma > 0:
+            raise ConfigurationError(f"sigma must be positive, got {sigma}")
         self.sigma = float(sigma)
 
     def mean(self, theta: float) -> float:
@@ -415,6 +415,6 @@ def get_family(family_id: str, **kwargs) -> Family:
     try:
         cls = _REGISTRY[family_id]
     except KeyError:
-        raise ValueError(f"unknown family {family_id!r}; "
+        raise ConfigurationError(f"unknown family {family_id!r}; "
                          f"choose from {sorted(_REGISTRY)}") from None
     return cls(**kwargs)

@@ -31,6 +31,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammainc, ndtr
 
+from .errors import ConfigurationError
+
 _LOG_2PI = math.log(2.0 * math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -48,13 +50,17 @@ class GaussianShift:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         m = mean.shape[0]
+        if m < 1:
+            raise ConfigurationError(f"dimension m must be at least 1, got {m}")
         if cov.shape != (m, m):
-            raise ValueError(f"cov shape {cov.shape} does not match dim {m}")
+            raise ConfigurationError(f"cov shape {cov.shape} does not match dim {m}")
         scale = max(1.0, float(np.abs(cov).max()))
         if np.abs(cov - cov.T).max() > 1e-12 * scale:
-            raise ValueError("covariance is not symmetric within 1e-12")
-        # factorization doubles as the positive-definiteness check
-        object.__setattr__(self, "_chol", np.linalg.cholesky(cov))
+            raise ConfigurationError("covariance is not symmetric within 1e-12")
+        try:  # factorization doubles as the positive-definiteness check
+            object.__setattr__(self, "_chol", np.linalg.cholesky(cov))
+        except np.linalg.LinAlgError:
+            raise ConfigurationError("covariance is not positive definite") from None
 
     @property
     def dim(self) -> int:
@@ -83,9 +89,9 @@ def chi2_cdf(m: int, t: float) -> float:
     ``scipy.special.gammainc``.
     """
     if m < 1 or int(m) != m:
-        raise ValueError(f"degrees of freedom must be a positive integer, got {m}")
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+        raise ConfigurationError(f"degrees of freedom must be a positive integer, got {m}")
+    if not t >= 0:
+        raise ConfigurationError(f"t must be nonnegative, got {t}")
     return float(gammainc(0.5 * m, 0.5 * t))
 
 
@@ -97,25 +103,27 @@ def crossing_radius_sq(r: float, m: int) -> float:
     degenerate zero-loss case handled by callers.
     """
     if m < 1 or int(m) != m:
-        raise ValueError(f"dimension must be a positive integer, got {m}")
-    if r <= 1.0:
-        raise ValueError(f"crossing radius requires r > 1, got {r}")
+        raise ConfigurationError(f"dimension m must be a positive integer, got {m}")
+    if not r > 1.0:
+        raise ConfigurationError(f"crossing radius requires r > 1, got {r}")
     return m * r * math.log(r) / (r - 1.0)
 
 
 def tv_isotropic(r: float, m: int) -> float:
     """Closed-form L1 distance between N(0, 1_m) and N(0, r 1_m), r >= 1.
 
-    Zero iff r = 1, strictly increasing in r, and independent of any common
-    covariance factor (whitening reduces the general pair N(0, S), N(0, r S)
-    to this case).
+    Zero iff r = 1, strictly increasing in r to its limit 2 at r = inf, and
+    independent of any common covariance factor (whitening reduces the
+    general pair N(0, S), N(0, r S) to this case).
     """
     if m < 1 or int(m) != m:
-        raise ValueError(f"dimension must be a positive integer, got {m}")
-    if r < 1.0:
-        raise ValueError(f"isotropic closed form requires r >= 1, got {r}")
+        raise ConfigurationError(f"dimension m must be a positive integer, got {m}")
+    if not r >= 1.0:
+        raise ConfigurationError(f"isotropic closed form requires r >= 1, got {r}")
     if r == 1.0:
         return 0.0
+    if r == math.inf:
+        return 2.0
     t_star = crossing_radius_sq(r, m)
     # the difference underflows to a signed epsilon for r barely above 1
     return max(0.0, 2.0 * (chi2_cdf(m, t_star) - chi2_cdf(m, t_star / r)))
@@ -134,11 +142,12 @@ def tv_quadrature(p: GaussianShift, q: GaussianShift, tol: float = 1e-6) -> floa
     first-coordinate means, in pieces that share the tolerance.
     """
     if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
+        raise ConfigurationError(f"dimension mismatch: {p.dim} vs {q.dim}")
     if p.dim > 2:
-        raise ValueError("quadrature supports m <= 2 only")
+        raise ConfigurationError("quadrature supports m <= 2 only")
     shift = solve_triangular(p._chol, q.mean - p.mean, lower=True)
-    root = solve_triangular(p._chol, q._chol, lower=True)
+    same = np.array_equal(p._chol, q._chol)  # then the identity exactly, as in _shortfall
+    root = np.eye(p.dim) if same else solve_triangular(p._chol, q._chol, lower=True)
     var, axes = np.linalg.eigh(root @ root.T)
     c = (axes.T @ shift).tolist()
     s = np.sqrt(var).tolist()
@@ -183,9 +192,9 @@ def tv_monte_carlo(
     there against quadrature or with an absolute floor.
     """
     if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
+        raise ConfigurationError(f"dimension mismatch: {p.dim} vs {q.dim}")
     if budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
+        raise ConfigurationError(f"budget must be positive, got {budget}")
     return _tv_monte_carlo(p, q, budget, rng)
 
 

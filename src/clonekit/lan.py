@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import ConfigurationError
 from .families import Family
 from .streams import stream
 
@@ -62,7 +63,7 @@ class CouplingReport:
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
     """Wilson score interval; keeps coverage for probabilities near 0."""
     if trials <= 0:
-        raise ValueError("trials must be positive")
+        raise ConfigurationError("trials must be positive")
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -80,7 +81,7 @@ def score_process(family: Family, theta: float, data: np.ndarray) -> float:
     data = np.asarray(data, dtype=float)
     n = data.size
     if n == 0:
-        raise ValueError("empty sample")
+        raise ConfigurationError("empty sample")
     return family.score_from_stat(theta, n, family.suff_stat(data))
 
 
@@ -121,6 +122,8 @@ def lan_residual_rate(
     The per-n trend is reported, not enforced: single runs can wiggle, the
     monotone decrease is asserted by the calling tests at their chosen reps.
     """
+    if reps < 1:
+        raise ConfigurationError(f"reps must be at least 1, got {reps}")
     n_grid = _sample_sizes(n_grid)
     j = family.fisher(theta)
     probs, lows, highs = [], [], []
@@ -152,13 +155,13 @@ def smoothed_score(
     absolutely continuous, which is what the cloning pipeline needs before
     inverting back to a statistic target.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not epsilon >= 0:
+        raise ConfigurationError(f"epsilon must be nonnegative, got {epsilon}")
     base = score_process(family, theta, data) / family.fisher(theta)
     if epsilon == 0.0:
         return base
     if rng is None:
-        raise ValueError("positive epsilon requires an rng")
+        raise ConfigurationError("positive epsilon requires an rng")
     return base + math.sqrt(epsilon) * rng.standard_normal()
 
 
@@ -222,10 +225,10 @@ def quantile_coupling(
     ``epsilon_dev`` and the largest observed gap, per sample size in
     ``n_grid``.
     """
-    if epsilon_dev <= 0:
-        raise ValueError("epsilon_dev must be positive")
+    if not epsilon_dev > 0:
+        raise ConfigurationError(f"epsilon_dev must be positive, got {epsilon_dev}")
     if resolution < 3:
-        raise ValueError("resolution too small")
+        raise ConfigurationError("resolution too small")
     n_grid = _sample_sizes(n_grid)
     j = family.fisher(theta)
     levels = (np.arange(resolution) + 0.5) / resolution
@@ -250,5 +253,5 @@ def quantile_coupling(
 def _sample_sizes(n_grid) -> tuple[int, ...]:
     n_grid = tuple(int(n) for n in n_grid)
     if any(n < 1 for n in n_grid):
-        raise ValueError(f"sample sizes must be at least 1, got {n_grid}")
+        raise ConfigurationError(f"sample sizes must be at least 1, got {n_grid}")
     return n_grid

@@ -13,6 +13,21 @@ class TestAmplifierLoss:
         rep = amplifier_loss_mc(1.0, np.eye(1), [[0.0], [2.0]], 100, stream(0, "l"))
         assert rep.sup_value == 0.0
 
+    @pytest.mark.parametrize("method,m", [
+        ("quadrature", 1), ("quadrature", 2), ("monte_carlo", 3),
+    ])
+    def test_r_one_is_exactly_zero_on_every_route(self, method, m):
+        # r = 1 has no shortcut: each route scores the identical pair as 0
+        rng = stream(0, "r1-cov", m)
+        for k in range(20):
+            root = rng.standard_normal((m, m))
+            sigma = root @ root.T + 0.1 * np.eye(m)
+            rep = amplifier_loss_mc(
+                1.0, sigma, [np.zeros(m), np.full(m, 3.0)], 100,
+                stream(0, "r1", m, k), method=method,
+            )
+            assert rep.per_h == ((0.0, 0.0), (0.0, 0.0))
+
     def test_shift_invariance_quadrature(self):
         rep = amplifier_loss_mc(2.0, np.eye(1), [[0.0], [1.0], [5.0]], 0, stream(0, "q"))
         values = [value for value, _ in rep.per_h]

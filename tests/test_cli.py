@@ -161,6 +161,20 @@ class TestEmitReport:
         assert not out.exists()
         assert "configuration error" in capsys.readouterr().err
 
+    def test_library_bug_is_not_a_configuration_error(self, tmp_path, monkeypatch):
+        # only ConfigurationError means bad input; a plain ValueError is a bug
+        import clonekit.cli as climod
+
+        def buggy_runner(cfg):
+            return max([])  # a bug: "max() arg is an empty sequence"
+
+        monkeypatch.setitem(climod._RUNNERS, "deficiency", buggy_runner)
+        out = tmp_path / "d.csv"
+        with pytest.raises(ValueError, match="empty") as info:
+            run_cli(["deficiency", "--out", str(out)])
+        assert not isinstance(info.value, ConfigurationError)
+        assert not out.exists()
+
     def test_numerical_error_exits_3(self, tmp_path, monkeypatch, capsys):
         import clonekit.cli as climod
 
@@ -194,24 +208,45 @@ class TestEmitReport:
 
 
 class TestInvalidInput:
-    @pytest.mark.parametrize("experiment,section", [
-        ("lan-diag", "n_grid = 0, 25"),
-        ("coupling", "n_grid = 0, 16"),
-        ("amp-loss", "r = 1.0\nmethod = closed_form"),
-        ("amp-loss", "r = 2.0\nmethod = closed_form"),
-        ("tv", "routes = monte_carlo\nbudget = 0"),
-        ("tv", "routes = monte_carlo\nbudget = -5"),
-        ("tv", "routes = quadrature\nm = 3"),
-        ("amp-loss", "r = 1.0\nsigma = 1 0 0; 0 1 0; 0 0 1\nmethod = quadrature"),
-        ("amp-loss", "r = 1.0\nmethod = monte_carlo\nbudget = 0"),
-        ("amp-loss", "r = 0.5"),
+    # each case also names what the message must say: the key, where one is at fault
+    @pytest.mark.parametrize("experiment,section,says", [
+        ("lan-diag", "n_grid = 0, 25", "sample sizes"),
+        ("coupling", "n_grid = 0, 16", "sample sizes"),
+        ("amp-loss", "r = 1.0\nmethod = closed_form", "method"),
+        ("amp-loss", "r = 2.0\nmethod = closed_form", "method"),
+        ("tv", "routes = monte_carlo\nbudget = 0", "budget"),
+        ("tv", "routes = monte_carlo\nbudget = -5", "budget"),
+        ("tv", "routes = quadrature\nm = 3", "m <= 2"),
+        ("amp-loss", "r = 1.0\nsigma = 1 0 0; 0 1 0; 0 0 1\nmethod = quadrature",
+         "m <= 2"),
+        ("amp-loss", "r = 1.0\nmethod = monte_carlo\nbudget = 0", "budget"),
+        ("amp-loss", "r = 0.5", "amplification factor"),
+        ("tv", "r = 2.0\nr = 3.0", "option 'r'"),
+        ("tv", "r", "parsing errors"),
+        ("deficiency", "h_step = 0", "h_step"),
+        ("deficiency", "a_list = 1, inf", "a_list = '1, inf'"),
+        ("tv", "r = inf", "r = 'inf'"),
+        ("tv", "r = nan", "r = 'nan'"),
+        ("clone-sim", "epsilon = nan", "epsilon = 'nan'"),
+        ("lan-diag", "threshold = nan", "threshold = 'nan'"),
+        ("coupling", "epsilon_dev = nan", "epsilon_dev = 'nan'"),
+        ("minimax-probe", "a = nan", "a = 'nan'"),
+        ("tv", "m = 0", "dimension m"),
+        ("minimax-probe", "h_grid =", "h_grid"),
+        ("amp-loss", "budget = 1e5", "budget = '1e5'"),
+        ("clone-sim", "delta = 1", "delta"),
     ], ids=[
         "lan-diag-n0", "coupling-n0", "amp-loss-closed-form-r1",
         "amp-loss-closed-form-r2", "tv-mc-budget0", "tv-mc-budget-neg",
         "tv-quadrature-m3", "amp-loss-quadrature-m3-r1",
         "amp-loss-mc-budget0-r1", "amp-loss-r-below-one",
+        "ini-duplicate-key", "ini-key-without-equals", "deficiency-h-step0",
+        "deficiency-a-inf", "tv-r-inf", "tv-r-nan", "clone-sim-epsilon-nan",
+        "lan-diag-threshold-nan", "coupling-epsilon-dev-nan",
+        "minimax-probe-a-nan", "tv-m0", "minimax-probe-empty-grid",
+        "amp-loss-budget-not-int", "clone-sim-delta1",
     ])
-    def test_exits_2_without_report(self, tmp_path, capsys, experiment, section):
+    def test_exits_2_without_report(self, tmp_path, capsys, experiment, section, says):
         ini = tmp_path / "cfg.ini"
         ini.write_text(f"[{experiment}]\n{section}\n")
         out = tmp_path / "x.csv"
@@ -219,7 +254,18 @@ class TestInvalidInput:
         err = capsys.readouterr().err
         assert code == 2
         assert "configuration error" in err
+        assert says in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_ini_without_section_header_exits_2(self, tmp_path, capsys):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("r = 2.0\n")
+        out = tmp_path / "x.csv"
+        code = run_cli(["tv", "--config", str(ini), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "no section headers" in err
         assert not out.exists()
 
     def test_unknown_tv_route_names_the_valid_ones(self, tmp_path, capsys):
@@ -303,6 +349,14 @@ class TestOtherExperiments:
         ]) == 0
         lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert lines[-1].startswith("sup,")
+
+    def test_amp_loss_ragged_points_are_zero_padded(self, tmp_path):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[amp-loss]\nsigma = 1 0; 0 1\nh_grid = 0, 1 0\nbudget = 1000\n")
+        out = tmp_path / "a.csv"
+        assert run_cli(["amp-loss", "--config", str(ini), "--out", str(out)]) == 0
+        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert [ln.split(",")[0] for ln in lines] == ["h", "0 0", "1 0", "sup"]
 
     def test_minimax_smoke(self, tmp_path):
         ini = tmp_path / "cfg.ini"

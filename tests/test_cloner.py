@@ -8,6 +8,7 @@ import pytest
 
 from clonekit import (
     Bernoulli,
+    ConfigurationError,
     ClonerConfig,
     GaussianLocation,
     GaussianShift,
@@ -48,6 +49,15 @@ class TestConfig:
             ClonerConfig(n=10, r=2.0, delta=1.0, epsilon=0.0, seed=1)
         with pytest.raises(ValueError):
             ClonerConfig(n=2, r=2.0, delta=0.9, epsilon=0.0, seed=1)  # n2 = 0
+
+    @pytest.mark.parametrize("field,value", [
+        ("epsilon", math.nan), ("r", math.nan), ("r", math.inf), ("delta", math.nan),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        # epsilon = NaN used to run unsmoothed, with the epsilon = 0 loss
+        kwargs = dict(n=10, r=2.0, delta=0.1, epsilon=0.01, seed=1)
+        with pytest.raises(ConfigurationError, match=field):
+            ClonerConfig(**{**kwargs, field: value})
 
 
 class TestEstimateTheta:
@@ -454,3 +464,10 @@ class TestMinimaxProbe:
         cfg = ClonerConfig(n=64, r=2.0, delta=0.1, epsilon=0.01, seed=17)
         with pytest.raises(ValueError):
             local_minimax_probe(Bernoulli(), 0.3, 1.0, [2.0], cfg, reps=10)
+
+    def test_nan_radius_and_empty_grid(self):
+        cfg = ClonerConfig(n=64, r=2.0, delta=0.1, epsilon=0.01, seed=17)
+        with pytest.raises(ConfigurationError, match="radius a"):
+            local_minimax_probe(Bernoulli(), 0.3, math.nan, [0.0], cfg, reps=10)
+        with pytest.raises(ConfigurationError, match="empty shift grid"):
+            local_minimax_probe(Bernoulli(), 0.3, 1.0, [], cfg, reps=10)

@@ -16,7 +16,9 @@ from scipy.optimize import linprog
 
 from clonekit import (
     ConfigurationError,
+    DeficiencyResult,
     FiniteExperiment,
+    NumericalError,
     GridSpec,
     discretize_gaussian_pair,
     gaussian_cell_masses,
@@ -205,6 +207,12 @@ class TestLpDeficiency:
         big = experiment(np.full((1, 250), 1 / 250))
         with pytest.raises(ConfigurationError):
             lp_deficiency(big, big)
+
+    @pytest.mark.parametrize("value", [-1e-6, math.nan])
+    def test_negative_value_is_a_numerical_error(self, value):
+        # a post-condition on the solver's result, not the caller's mistake
+        with pytest.raises(NumericalError, match="nonnegative"):
+            DeficiencyResult(value, np.eye(2), "optimal", 4, 1, 1, 0)
 
     def test_solver_statistics(self):
         src = experiment([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])

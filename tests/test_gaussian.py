@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from clonekit import (
+    ConfigurationError,
     GaussianShift,
     chi2_cdf,
     crossing_radius_sq,
@@ -115,6 +116,14 @@ class TestTvIsotropic:
         with pytest.raises(ValueError):
             tv_isotropic(0.9, 1)
 
+    def test_non_finite_r(self):
+        # NaN used to slip through as max(0.0, nan) = 0.0
+        with pytest.raises(ConfigurationError, match="requires r >= 1"):
+            tv_isotropic(math.nan, 1)
+        for m in (1, 3):
+            assert tv_isotropic(math.inf, m) == 2.0
+        assert tv_isotropic(1e300, 1) == 2.0
+
     @given(
         r=st.floats(min_value=1.0, max_value=30.0),
         m=st.integers(min_value=1, max_value=6),
@@ -143,6 +152,14 @@ class TestTvNumeric:
             cov = root @ root.T + 0.1 * np.eye(m)
             p = GaussianShift(rng.standard_normal(m), cov)
             assert tv_monte_carlo(p, p, 2_000, stream(0, "same", m, i)) == (0.0, 0.0)
+
+    def test_quadrature_identical_pair_exact_zero_random_spd(self):
+        # solve_triangular(L, L) is not always exactly the identity at m = 2
+        rng = stream(0, "same-spd-quad")
+        for _ in range(100):
+            root = rng.standard_normal((2, 2))
+            p = GaussianShift(rng.standard_normal(2), root @ root.T + 0.1 * np.eye(2))
+            assert tv_quadrature(p, p) == 0.0
 
     def test_quadrature_matches_closed_form_1d(self):
         # exact at m = 1: the crossings cut the line into fixed-sign intervals
@@ -273,8 +290,12 @@ class TestDataTypes:
     def test_gaussian_shift_validation(self):
         with pytest.raises(ValueError):
             GaussianShift([0, 0], [[1.0, 0.5], [0.4, 1.0]])
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(ConfigurationError, match="not positive definite"):
             GaussianShift([0, 0], [[1.0, 2.0], [2.0, 1.0]])
+
+    def test_gaussian_shift_needs_a_dimension(self):
+        with pytest.raises(ConfigurationError, match="dimension m must be at least 1"):
+            GaussianShift(np.zeros(0), np.eye(0))
 
     def test_log_density_formula(self):
         g = GaussianShift([1.0], [[4.0]])

@@ -12,6 +12,7 @@ from scipy import integrate, stats
 
 from clonekit import (
     Bernoulli,
+    ConfigurationError,
     GaussianLocation,
     Poisson,
     dqm_residual,
@@ -118,6 +119,11 @@ class TestResidualRate:
             Poisson(), 2.0, 1.0, (25, 100, 400), 0.1, reps=2000, seed=7
         )
         assert rep.exceed_prob[0] >= rep.exceed_prob[-1]
+
+    def test_reps_checked(self):
+        for reps in (0, -1):
+            with pytest.raises(ConfigurationError, match="reps must be at least 1"):
+                lan_residual_rate(Bernoulli(), 0.5, 1.0, (25,), 0.1, reps=reps, seed=1)
 
 
 class TestWilson:
@@ -245,3 +251,8 @@ class TestQuantileCoupling:
             quantile_coupling(Bernoulli(), 0.5, (16,), 0.0)
         with pytest.raises(ValueError):
             quantile_coupling(Bernoulli(), 0.5, (16,), 0.1, resolution=2)
+
+    def test_nan_epsilon_dev_rejected(self):
+        # NaN used to pass through and measure no deviation at all
+        with pytest.raises(ConfigurationError, match="epsilon_dev"):
+            quantile_coupling(Bernoulli(), 0.5, (16,), math.nan)
