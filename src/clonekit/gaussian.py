@@ -19,7 +19,9 @@ return a float; the Monte Carlo route returns ``(value, std_error)``.  The
 quadrature route sums normal-CDF masses between exact density crossings.  The
 Monte Carlo route evaluates each density ratio in its sampling law's whitened
 frame, elementwise in the same standard-normal draws that
-`GaussianShift.sample` would use, with no per-sample triangular solve.
+`GaussianShift.sample` would use, in cache-sized blocks.  Its whitening
+matrices come from vector solves: a matrix right-hand side reaches BLAS
+``trsm``, which wakes a BLAS thread that then spins through the whole pass.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .errors import ConfigurationError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Monte Carlo draws per block; 10^6 draws at m = 3: 0.22 s, 0.31 s unblocked
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -146,8 +150,7 @@ def tv_quadrature(p: GaussianShift, q: GaussianShift, tol: float = 1e-6) -> floa
     if p.dim > 2:
         raise ConfigurationError("quadrature supports m <= 2 only")
     shift = solve_triangular(p._chol, q.mean - p.mean, lower=True)
-    same = np.array_equal(p._chol, q._chol)  # then the identity exactly, as in _shortfall
-    root = np.eye(p.dim) if same else solve_triangular(p._chol, q._chol, lower=True)
+    root = _whitened(p, q)
     var, axes = np.linalg.eigh(root @ root.T)
     c = (axes.T @ shift).tolist()
     s = np.sqrt(var).tolist()
@@ -203,49 +206,62 @@ def _tv_monte_carlo(
 ) -> tuple[float, float]:
     """`tv_monte_carlo` without its checks.
 
+    Blocked draws continue one stream, so the value equals one ``(budget,
+    m)`` draw per side, the p side first, bit for bit.
     `perfbench/tracer.py` hooks this name and reads ``budget`` positionally.
     """
-    a = _shortfall(p, q, rng.standard_normal((budget, p.dim)))
-    b = _shortfall(q, p, rng.standard_normal((budget, q.dim)))
+    a = _shortfall(p, q, budget, rng)
+    b = _shortfall(q, p, budget, rng)
     value = float(a.mean() + b.mean())
     se = math.sqrt(a.var() / budget + b.var() / budget)
     return value, se
 
 
-def _shortfall(p: GaussianShift, q: GaussianShift, z: np.ndarray) -> np.ndarray:
-    """``(1 - q/p)^+`` at the draws ``x = mean_p + L_p z`` of p, from ``z``.
+def _whitened(p: GaussianShift, q: GaussianShift) -> np.ndarray:
+    """``L_p^{-1} L_q`` by vector solves, one per column (see the module notes).
+
+    Equal factors give the identity exactly, which the solve would only round
+    to, so an identical pair scores exactly zero.
+    """
+    if np.array_equal(p._chol, q._chol):
+        return np.eye(p.dim)
+    return np.column_stack([solve_triangular(p._chol, c, lower=True) for c in q._chol.T])
+
+
+def _shortfall(
+    p: GaussianShift, q: GaussianShift, budget: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``(1 - q/p)^+`` at ``budget`` draws ``x = mean_p + L_p z`` of p.
 
     In p's whitened frame ``L_q^{-1}(x - mean_q) = A z + b`` with
     ``A = L_q^{-1} L_p`` (lower triangular) and ``b = L_q^{-1}(mean_p -
     mean_q)``, so ``log q(x) - log p(x) = (|z|^2 - |A z + b|^2) / 2 + log det
     L_p - log det L_q``.  The m x m solves are the only ones; the per-draw
-    work is elementwise, one coordinate at a time.  Equal covariance factors
-    give ``A = I`` exactly, which the solve would only round to, so an
-    identical pair scores exactly zero.
+    work is elementwise, one coordinate at a time, per block of `_BLOCK`.
     """
-    if np.array_equal(p._chol, q._chol):
-        a_mat = np.eye(p.dim)
-    else:
-        a_mat = solve_triangular(q._chol, p._chol, lower=True)
+    a_mat = _whitened(q, p)
     b = solve_triangular(q._chol, p.mean - q.mean, lower=True)
     log_det = np.sum(np.log(np.diag(p._chol))) - np.sum(np.log(np.diag(q._chol)))
-    cols = z.T
-    gap = np.zeros(z.shape[0])  # |z|^2 - |A z + b|^2, one coordinate at a time
-    w = np.empty_like(gap)
-    term = np.empty_like(gap)
-    for i in range(p.dim):
-        np.multiply(cols[i], a_mat[i, i], out=w)
-        for j in range(i):
-            w += np.multiply(cols[j], a_mat[i, j], out=term)
-        w += b[i]
-        gap += np.square(cols[i], out=term)
-        gap -= np.square(w, out=w)
-    # gap becomes log(q/p), then the shortfall, in place
-    gap *= 0.5
-    gap += log_det
-    np.exp(gap, out=gap)
-    np.subtract(1.0, gap, out=gap)
-    return np.maximum(gap, 0.0, out=gap)
+    out = np.empty(budget)
+    w, term = np.empty((2, min(budget, _BLOCK)))
+    for start in range(0, budget, _BLOCK):
+        z = rng.standard_normal((min(_BLOCK, budget - start), p.dim))
+        gap, w_k, term_k = out[start:start + len(z)], w[:len(z)], term[:len(z)]
+        gap.fill(0.0)  # |z|^2 - |A z + b|^2, one coordinate at a time
+        for i in range(p.dim):
+            np.multiply(z[:, i], a_mat[i, i], out=w_k)
+            for j in range(i):
+                w_k += np.multiply(z[:, j], a_mat[i, j], out=term_k)
+            w_k += b[i]
+            gap += np.square(z[:, i], out=term_k)
+            gap -= np.square(w_k, out=w_k)
+        # gap becomes log(q/p), then the shortfall, in place
+        gap *= 0.5
+        gap += log_det
+        np.exp(gap, out=gap)
+        np.subtract(1.0, gap, out=gap)
+        np.maximum(gap, 0.0, out=gap)
+    return out
 
 
 def _l1_kernel(log_a: float, log_b: float, c: float, s: float) -> float:

@@ -124,6 +124,8 @@ def lan_residual_rate(
     """
     if reps < 1:
         raise ConfigurationError(f"reps must be at least 1, got {reps}")
+    if not threshold >= 0:
+        raise ConfigurationError(f"threshold must be nonnegative, got {threshold}")
     n_grid = _sample_sizes(n_grid)
     j = family.fisher(theta)
     probs, lows, highs = [], [], []

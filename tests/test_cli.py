@@ -235,6 +235,7 @@ class TestInvalidInput:
         ("minimax-probe", "h_grid =", "h_grid"),
         ("amp-loss", "budget = 1e5", "budget = '1e5'"),
         ("clone-sim", "delta = 1", "delta"),
+        ("lan-diag", "threshold = -1", "threshold must be nonnegative"),
     ], ids=[
         "lan-diag-n0", "coupling-n0", "amp-loss-closed-form-r1",
         "amp-loss-closed-form-r2", "tv-mc-budget0", "tv-mc-budget-neg",
@@ -244,7 +245,7 @@ class TestInvalidInput:
         "deficiency-a-inf", "tv-r-inf", "tv-r-nan", "clone-sim-epsilon-nan",
         "lan-diag-threshold-nan", "coupling-epsilon-dev-nan",
         "minimax-probe-a-nan", "tv-m0", "minimax-probe-empty-grid",
-        "amp-loss-budget-not-int", "clone-sim-delta1",
+        "amp-loss-budget-not-int", "clone-sim-delta1", "lan-diag-threshold-neg",
     ])
     def test_exits_2_without_report(self, tmp_path, capsys, experiment, section, says):
         ini = tmp_path / "cfg.ini"

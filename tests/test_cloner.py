@@ -1,5 +1,6 @@
 """Cloner pipeline: estimation grid, gain arithmetic, loss measurement."""
 
+import copy
 import hashlib
 import math
 
@@ -20,6 +21,7 @@ from clonekit import (
     stream,
     tv_isotropic,
 )
+from clonekit import cloner
 from clonekit.cloner import (
     _replicate_atoms,
     _rounding_pmf,
@@ -442,6 +444,52 @@ class TestSequenceVsCountLevel:
             comb = math.comb(4, k)
             seq_l1 += abs(out_pmf[k] / comb - theta**k * (1 - theta) ** (4 - k))
         assert seq_l1 == pytest.approx(count_l1, abs=1e-12)
+
+
+class TestBootstrapMatchesPerResampleLoop:
+    # Bernoulli at an interior theta, then three configs whose clipping puts
+    # both atoms of a replicate in one cell
+    @pytest.mark.parametrize("family,theta,n,epsilon,shared", [
+        (Bernoulli(), 0.3, 100, 0.01, False),
+        (Bernoulli(), 0.02, 40, 0.5, True),
+        (Bernoulli(), 0.97, 30, 0.5, True),
+        (Poisson(), 0.05, 20, 0.5, True),
+    ], ids=["bernoulli", "bernoulli-low-clipped", "bernoulli-high-clipped",
+            "poisson-clipped"])
+    def test_losses_bit_identical(self, monkeypatch, family, theta, n, epsilon, shared):
+        def per_resample(index, weights, target_vec, reps, bootstrap, rng):
+            losses = np.empty(bootstrap)
+            for b in range(bootstrap):
+                mult = np.bincount(rng.integers(0, reps, reps), minlength=reps)
+                pmf = np.bincount(index, weights=(weights * mult[:, None]).ravel(),
+                                  minlength=target_vec.size) / reps
+                losses[b] = np.abs(pmf - target_vec).sum()
+            return losses
+
+        calls, quantiled = [], []
+        bootstrap_ci, quantile = cloner._bootstrap_ci, np.quantile
+
+        def recording_ci(index, weights, target_vec, reps, bootstrap, rng):
+            calls.append((index, weights, target_vec, reps, bootstrap, copy.deepcopy(rng)))
+            return bootstrap_ci(index, weights, target_vec, reps, bootstrap, rng)
+
+        def recording_quantile(a, q, *args, **kwargs):
+            quantiled.append(np.array(a))
+            return quantile(a, q, *args, **kwargs)
+
+        monkeypatch.setattr(cloner, "_bootstrap_ci", recording_ci)
+        monkeypatch.setattr(np, "quantile", recording_quantile)
+        cfg = ClonerConfig(n=n, r=2.0, delta=0.05, epsilon=epsilon, seed=3)
+        rep = clone_loss_discrete(family, theta, cfg, reps=2000)
+        monkeypatch.undo()
+        (call,) = calls
+        index = call[0].reshape(-1, 2)
+        assert (index[:, 0] == index[:, 1]).any() == shared
+        expected = per_resample(*call)
+        assert quantiled[0].tobytes() == expected.tobytes()
+        assert (rep.ci_low, rep.ci_high) == (
+            float(np.quantile(expected, 0.025)), float(np.quantile(expected, 0.975))
+        )
 
 
 class TestMinimaxProbe:

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 
 from clonekit import (
     ConfigurationError,
     GaussianShift,
+    amplifier_loss_mc,
     chi2_cdf,
     crossing_radius_sq,
     stream,
@@ -23,6 +25,8 @@ from clonekit import (
     tv_monte_carlo,
     tv_quadrature,
 )
+from clonekit import gaussian
+from clonekit.gaussian import _BLOCK
 
 # independent-oracle values (quadrature / erf / MC agreed before the build)
 TV_2_1 = 0.3321281500
@@ -271,6 +275,61 @@ class TestTvNumeric:
             quad = tv_quadrature(p, q)
             mc, se = tv_monte_carlo(p, q, 20_000, stream(14, "general-mc", m, i))
             assert abs(quad - mc) < 4 * se
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("budget", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_blocked_monte_carlo_equals_one_shot(self, m, budget):
+        # one (budget, m) draw per side through the same per-coordinate ops:
+        # drawing in blocks continues the stream, so the values agree exactly
+        def one_shot(p, q, z):
+            a_mat = np.column_stack(
+                [solve_triangular(q._chol, c, lower=True) for c in p._chol.T]
+            )
+            b = solve_triangular(q._chol, p.mean - q.mean, lower=True)
+            log_det = np.sum(np.log(np.diag(p._chol))) - np.sum(np.log(np.diag(q._chol)))
+            gap = np.zeros(budget)
+            for i in range(m):
+                w = z[:, i] * a_mat[i, i]
+                for j in range(i):
+                    w += z[:, j] * a_mat[i, j]
+                w += b[i]
+                gap += np.square(z[:, i])
+                gap -= np.square(w)
+            gap *= 0.5
+            gap += log_det
+            return np.maximum(1.0 - np.exp(gap), 0.0)
+
+        rng = stream(15, "blocked-pairs", m)
+        s, t = (g @ g.T + 0.3 * np.eye(m) for g in rng.standard_normal((2, m, m)))
+        p = GaussianShift(rng.standard_normal(m), 2 * s)
+        q = GaussianShift(rng.standard_normal(m), t)
+        draws = stream(16, "blocked-mc", m, budget)
+        a = one_shot(p, q, draws.standard_normal((budget, m)))
+        b = one_shot(q, p, draws.standard_normal((budget, m)))
+        expected = (float(a.mean() + b.mean()), math.sqrt(a.var() / budget + b.var() / budget))
+        assert tv_monte_carlo(p, q, budget, stream(16, "blocked-mc", m, budget)) == expected
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_whitening_solves_take_vector_right_hand_sides(self, monkeypatch, m):
+        # a matrix right-hand side reaches level-3 BLAS, which leaves a BLAS
+        # worker thread spinning through the Monte Carlo pass after it
+        seen = []
+
+        def vector_only(a, b, *args, **kwargs):
+            seen.append(np.ndim(b))
+            return solve_triangular(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(gaussian, "solve_triangular", vector_only)
+        rng = stream(17, "vector-solves", m)
+        s, t = (g @ g.T + 0.3 * np.eye(m) for g in rng.standard_normal((2, m, m)))
+        p = GaussianShift(rng.standard_normal(m), s)
+        q = GaussianShift(rng.standard_normal(m), t)
+        tv_monte_carlo(p, q, 100, stream(18, "vector-solves"))
+        if m == 2:
+            tv_quadrature(p, q)
+        for method in ("auto", "monte_carlo"):
+            amplifier_loss_mc(2.0, s, [np.zeros(m)], 100, stream(19, "vector-solves"), method)
+        assert seen and set(seen) == {1}
 
     def test_errors(self):
         p = GaussianShift([0.0], [[1.0]])

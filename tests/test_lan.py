@@ -125,6 +125,14 @@ class TestResidualRate:
             with pytest.raises(ConfigurationError, match="reps must be at least 1"):
                 lan_residual_rate(Bernoulli(), 0.5, 1.0, (25,), 0.1, reps=reps, seed=1)
 
+    def test_threshold_checked(self):
+        # no residual falls below a negative threshold: exceed_prob would read 1
+        for threshold in (-1.0, -1e-300, math.nan):
+            with pytest.raises(ConfigurationError, match="threshold must be nonnegative"):
+                lan_residual_rate(Bernoulli(), 0.5, 1.0, (25,), threshold, reps=10, seed=1)
+        rep = lan_residual_rate(Bernoulli(), 0.5, 1.0, (25,), 0.0, reps=10, seed=1)
+        assert 0.0 <= rep.exceed_prob[0] <= 1.0
+
 
 class TestWilson:
     def test_degenerate_counts(self):
