@@ -37,7 +37,7 @@ from .errors import ConfigurationError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# Monte Carlo draws per block; 10^6 draws at m = 3: 0.22 s, 0.31 s unblocked
+# Monte Carlo draws per block: a block and its scratch stay in cache
 _BLOCK = 1 << 14
 
 
