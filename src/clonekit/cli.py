@@ -4,12 +4,14 @@ Usage: ``clonekit <experiment> [--config FILE] [--seed N] [--workers N]
 [--out PATH] [--format csv|json]``.
 
 The config file is INI-style with one section per experiment id; command-line
-flags override file values, file values override built-in defaults.  Every
-report embeds the fully resolved configuration, and all randomness flows
-through counter-based streams keyed by the seed and the experiment's own
-path, so identical (config, seed) pairs produce byte-identical CSV on one
-platform.  ``--workers`` is accepted and echoed in JSON reports, but every
-experiment runs in one process, so it cannot change a number.
+flags override file values, file values override built-in defaults.  `_KEYS`
+gives every key its default text and parser; `resolve_config` parses each key
+once, before any run, and runners read the parsed ``cfg.values``.  Reports
+echo the raw text, ``cfg.params``.  All randomness flows through
+counter-based streams keyed by the seed and the experiment's own path, so
+identical (config, seed) pairs produce byte-identical CSV on one platform.
+``--workers`` is accepted and echoed in JSON reports, but every experiment
+runs in one process, so it cannot change a number.
 
 Exit codes: 0 success, 2 configuration error (`ConfigurationError`, from
 `_param` or the library's checks), 3 numerical failure (a partial report is
@@ -26,7 +28,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,56 +36,6 @@ from . import amplifier, cloner, deficiency, gaussian, lan
 from .errors import ConfigurationError, NumericalError
 from .families import GaussianLocation, get_family
 from .streams import stream
-
-EXPERIMENTS = (
-    "tv", "amp-loss", "deficiency", "clone-sim",
-    "minimax-probe", "lan-diag", "coupling",
-)
-
-_DEFAULTS: dict[str, dict[str, str]] = {
-    "tv": {
-        "r": "2.0", "m": "1", "routes": "closed_form", "budget": "100000",
-    },
-    "amp-loss": {
-        "r": "2.0", "sigma": "1.0", "h_grid": "0, 1, 3",
-        "budget": "100000", "method": "auto",
-    },
-    "deficiency": {
-        "r": "2.0", "sigma": "1.0", "a_list": "0.5, 1, 2, 4", "h_step": "0.5",
-        "grid_lo": "-10", "grid_hi": "10", "grid_count": "201",
-        "mode": "mean-shift", "report_identity": "true",
-    },
-    "clone-sim": {
-        "family": "bernoulli", "theta": "0.3", "family_sigma": "1.0",
-        "r": "2.0", "delta": "0.05", "epsilon": "0.01",
-        "n_grid": "100, 400, 1600", "reps": "1000", "bootstrap": "200",
-    },
-    "minimax-probe": {
-        "family": "bernoulli", "theta": "0.3", "family_sigma": "1.0",
-        "a": "2.0", "h_grid": "-2, -1, 0, 1, 2", "n": "400",
-        "r": "2.0", "delta": "0.05", "epsilon": "0.01", "reps": "1000",
-    },
-    "lan-diag": {
-        "family": "bernoulli", "theta": "0.5", "family_sigma": "1.0",
-        "h": "1.0", "threshold": "0.1", "n_grid": "25, 100, 400",
-        "reps": "1000",
-    },
-    "coupling": {
-        "family": "bernoulli", "theta": "0.5", "family_sigma": "1.0",
-        "n_grid": "16, 64, 256, 1024", "epsilon_dev": "0.2",
-        "resolution": "4001",
-    },
-}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    experiment: str
-    params: dict
-    seed: int
-    workers: int
-    out: str | None
-    fmt: str
 
 
 def _real(text: str) -> float:
@@ -93,7 +45,77 @@ def _real(text: str) -> float:
     return value
 
 
-def _param(params: dict, key: str, convert=_real):
+def _list(convert):  # comma- or semicolon-separated items
+    return lambda s: [convert(t) for t in s.replace(";", ",").split(",") if t.strip()]
+
+
+def _coords(text: str) -> list[float]:
+    return [_real(c) for c in text.split()]
+
+
+def _matrix(text: str) -> np.ndarray:
+    """Semicolon-separated rows of space-separated entries; '1.0' is 1x1."""
+    return np.array([_coords(row) for row in text.split(";") if row.strip()], dtype=float)
+
+
+def _boolean(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"not a boolean; use one of {', '.join(states)}")
+    return states[text.lower()]
+
+
+# experiment -> key -> (default text, parser); reports echo the text
+_FAMILY = {"family": ("bernoulli", str), "family_sigma": ("1.0", _real)}
+_PIPELINE = {"r": ("2.0", _real), "delta": ("0.05", _real), "epsilon": ("0.01", _real)}
+_KEYS: dict[str, dict[str, tuple]] = {
+    "tv": {
+        "r": ("2.0", _real), "m": ("1", int),
+        "routes": ("closed_form", _list(str.strip)), "budget": ("100000", int),
+    },
+    "amp-loss": {
+        "r": ("2.0", _real), "sigma": ("1.0", _matrix), "budget": ("100000", int),
+        "h_grid": ("0, 1, 3", _list(_coords)), "method": ("auto", str),
+    },
+    "deficiency": {
+        "r": ("2.0", _real), "sigma": ("1.0", _real), "h_step": ("0.5", _real),
+        "a_list": ("0.5, 1, 2, 4", _list(_real)), "grid_lo": ("-10", _real),
+        "grid_hi": ("10", _real), "grid_count": ("201", int),
+        "mode": ("mean-shift", str), "report_identity": ("true", _boolean),
+    },
+    "clone-sim": {
+        **_FAMILY, "theta": ("0.3", _real), **_PIPELINE, "reps": ("1000", int),
+        "n_grid": ("100, 400, 1600", _list(int)), "bootstrap": ("200", int),
+    },
+    "minimax-probe": {
+        **_FAMILY, "theta": ("0.3", _real), **_PIPELINE, "a": ("2.0", _real),
+        "h_grid": ("-2, -1, 0, 1, 2", _list(_real)), "n": ("400", int),
+        "reps": ("1000", int),
+    },
+    "lan-diag": {
+        **_FAMILY, "theta": ("0.5", _real), "h": ("1.0", _real), "reps": ("1000", int),
+        "threshold": ("0.1", _real), "n_grid": ("25, 100, 400", _list(int)),
+    },
+    "coupling": {
+        **_FAMILY, "theta": ("0.5", _real), "n_grid": ("16, 64, 256, 1024", _list(int)),
+        "epsilon_dev": ("0.2", _real), "resolution": ("4001", int),
+    },
+}
+EXPERIMENTS = tuple(_KEYS)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    experiment: str
+    params: dict  # each key's text, as the report echoes it
+    seed: int
+    workers: int
+    out: str | None
+    fmt: str
+    values: dict = field(default_factory=dict)  # each key's parsed value
+
+
+def _param(params: dict, key: str, convert):
     """``params[key]`` through ``convert``; a value it rejects is named by key."""
     text = params[key]
     try:
@@ -102,30 +124,14 @@ def _param(params: dict, key: str, convert=_real):
         raise ConfigurationError(f"{key} = {text!r}: {exc}") from None
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [_real(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+def _family_from(v: dict):
+    if v["family"] == "gauss-loc":
+        return GaussianLocation(sigma=v["family_sigma"])
+    return get_family(v["family"])
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
-
-
-def _parse_points(text: str) -> list[list[float]]:
-    """Comma-separated points, space-separated coordinates."""
-    return [[_real(c) for c in tok.split()] for tok in text.split(",") if tok.strip()]
-
-
-def _parse_matrix(text: str) -> np.ndarray:
-    """Semicolon-separated rows, space-separated entries; '1.0' is 1x1."""
-    rows = [[_real(c) for c in part.split()] for part in text.split(";") if part.strip()]
-    return np.array(rows, dtype=float)
-
-
-def _family_from(params: dict):
-    fid = params["family"]
-    if fid == "gauss-loc":
-        return GaussianLocation(sigma=_param(params, "family_sigma"))
-    return get_family(fid)
+def _cloner_config(v: dict, n: int, seed: int) -> cloner.ClonerConfig:
+    return cloner.ClonerConfig(n=n, seed=seed, **{key: v[key] for key in _PIPELINE})
 
 
 def resolve_config(
@@ -140,7 +146,8 @@ def resolve_config(
         raise ConfigurationError(
             f"unknown experiment {experiment!r}; choose from {', '.join(EXPERIMENTS)}"
         )
-    params = dict(_DEFAULTS[experiment])
+    keys = _KEYS[experiment]
+    params = {key: text for key, (text, _) in keys.items()}
     file_seed = file_workers = file_out = file_fmt = None
     if config_path is not None:
         parser = configparser.ConfigParser()
@@ -176,51 +183,44 @@ def resolve_config(
         workers=workers if workers is not None else (file_workers or os.cpu_count() or 1),
         out=out or file_out,
         fmt=fmt_final,
+        values={key: _param(params, key, parse) for key, (_, parse) in keys.items()},
     )
 
 
 # ---------------------------------------------------------------------------
-# runners: each returns (rows, numerical_ok)
+# runners: each reads cfg.values and returns (rows, numerical_ok)
 
 def _run_tv(cfg: ExperimentConfig):
-    p = cfg.params
-    r = _param(p, "r")
-    m = _param(p, "m", int)
-    budget = _param(p, "budget", int)
+    v = cfg.values
+    r, m = v["r"], v["m"]
     closed = gaussian.tv_isotropic(r, m)  # names a bad r or m before GaussianShift can
     unit = gaussian.GaussianShift(np.zeros(m), np.eye(m))
     scaled = gaussian.GaussianShift(np.zeros(m), r * np.eye(m))
     rows = []
-    for route in [s.strip() for s in p["routes"].split(",") if s.strip()]:
+    for route in v["routes"]:
         if route == "closed_form":
             value, se = closed, 0.0
         elif route == "quadrature":
             value, se = gaussian.tv_quadrature(unit, scaled), 0.0
         elif route == "monte_carlo":
             value, se = gaussian.tv_monte_carlo(
-                unit, scaled, budget, stream(cfg.seed, "tv", route)
+                unit, scaled, v["budget"], stream(cfg.seed, "tv", route)
             )
         else:
             raise ConfigurationError(
                 f"unknown tv route {route!r}; "
                 "choose from closed_form, quadrature, monte_carlo"
             )
-        rows.append({
-            "r": r, "m": m, "method": route, "value": value, "std_error": se,
-        })
+        rows.append({"r": r, "m": m, "method": route, "value": value, "std_error": se})
     return rows, True
 
 
 def _run_amp_loss(cfg: ExperimentConfig):
-    p = cfg.params
-    r = _param(p, "r")
-    sigma = _param(p, "sigma", _parse_matrix)
-    m = sigma.shape[0]
-    pts = _param(p, "h_grid", _parse_points)
-    hs = [pt if len(pt) == m else pt + [0.0] * (m - len(pt)) for pt in pts]
+    v = cfg.values
+    hs = [pt + [0.0] * (len(v["sigma"]) - len(pt)) for pt in v["h_grid"]]  # zero-padded
     report = amplifier.amplifier_loss_mc(
-        r, sigma, hs, _param(p, "budget", int),
-        stream(cfg.seed, "amp-loss"), method=p["method"],
+        v["r"], v["sigma"], hs, v["budget"],
+        stream(cfg.seed, "amp-loss"), method=v["method"],
     )
     rows = [
         {
@@ -237,123 +237,101 @@ def _run_amp_loss(cfg: ExperimentConfig):
 
 
 def _run_deficiency(cfg: ExperimentConfig):
-    p = cfg.params
-    r = _param(p, "r")
-    sigma = _param(p, "sigma")
-    grid = deficiency.GridSpec(
-        _param(p, "grid_lo"), _param(p, "grid_hi"), _param(p, "grid_count", int)
-    )
-    step = _param(p, "h_step")
+    v = cfg.values
+    grid = deficiency.GridSpec(v["grid_lo"], v["grid_hi"], v["grid_count"])
+    step = v["h_step"]
     if step <= 0:
         raise ConfigurationError(f"h_step must be positive, got {step}")
-    mode = p["mode"]
-    closed = gaussian.tv_isotropic(r, 1)
-    rows = []
-    ok = True
-    for a in _param(p, "a_list", _parse_floats):
+    closed = gaussian.tv_isotropic(v["r"], 1)
+    rows, ok = [], True
+    for a in v["a_list"]:
         count = int(math.floor(a / step + 1e-9))
         hs = [i * step for i in range(-count, count + 1)]
-        source, target = deficiency.discretize_gaussian_pair(hs, sigma, r, grid, mode)
+        source, target = deficiency.discretize_gaussian_pair(
+            hs, v["sigma"], v["r"], grid, v["mode"]
+        )
         result = deficiency.lp_deficiency(source, target)
         ok = ok and result.lp_status == deficiency.STATUS_OPTIMAL
         row = {
-            "a": a, "mode": mode, "n_shifts": len(hs),
+            "a": a, "mode": v["mode"], "n_shifts": len(hs),
             "lp_value": result.value, "lp_status": result.lp_status,
             "closed_form": closed,
         }
-        if p["report_identity"].lower() in ("true", "1", "yes"):
+        if v["report_identity"]:
             row["identity_value"] = deficiency.identity_objective(source, target)
         rows.append(row)
     return rows, ok
 
 
 def _run_clone_sim(cfg: ExperimentConfig):
-    p = cfg.params
-    family = _family_from(p)
-    theta = _param(p, "theta")
-    r = _param(p, "r")
-    delta = _param(p, "delta")
-    reps = _param(p, "reps", int)
+    v = cfg.values
+    family = _family_from(v)
     rows = []
-    for n in _param(p, "n_grid", _parse_ints):
-        run_cfg = cloner.ClonerConfig(
-            n=n, r=r, delta=delta, epsilon=_param(p, "epsilon"), seed=cfg.seed
-        )
+    for n in v["n_grid"]:
+        run_cfg = _cloner_config(v, n, cfg.seed)
         rep = cloner.clone_loss_discrete(
-            family, theta, run_cfg, reps, bootstrap=_param(p, "bootstrap", int),
+            family, v["theta"], run_cfg, v["reps"], bootstrap=v["bootstrap"],
         )
         rows.append({
-            "family": family.name, "theta": theta, "n": n, "rn": run_cfg.rn,
+            "family": family.name, "theta": v["theta"], "n": n, "rn": run_cfg.rn,
             "loss": rep.loss, "ci_low": rep.ci_low, "ci_high": rep.ci_high,
-            "clip_rate": rep.clip_rate, "reps": reps,
-            "reference": gaussian.tv_isotropic(r / (1.0 - delta), 1),
+            "clip_rate": rep.clip_rate, "reps": v["reps"],
+            "reference": gaussian.tv_isotropic(v["r"] / (1.0 - v["delta"]), 1),
         })
     return rows, True
 
 
 def _run_minimax_probe(cfg: ExperimentConfig):
-    p = cfg.params
-    family = _family_from(p)
-    theta = _param(p, "theta")
-    run_cfg = cloner.ClonerConfig(
-        n=_param(p, "n", int), r=_param(p, "r"), delta=_param(p, "delta"),
-        epsilon=_param(p, "epsilon"), seed=cfg.seed,
-    )
-    hs = _param(p, "h_grid", _parse_floats)
+    v = cfg.values
+    run_cfg = _cloner_config(v, v["n"], cfg.seed)
     report = cloner.local_minimax_probe(
-        family, theta, _param(p, "a"), hs, run_cfg, _param(p, "reps", int),
+        _family_from(v), v["theta"], v["a"], v["h_grid"], run_cfg, v["reps"],
     )
     rows = [
         {
-            "h": h, "theta_shifted": theta + h / math.sqrt(run_cfg.n),
+            "h": h, "theta_shifted": v["theta"] + h / math.sqrt(run_cfg.n),
             "loss": rep.loss, "ci_low": rep.ci_low, "ci_high": rep.ci_high,
         }
-        for h, rep in zip(hs, report.losses)
+        for h, rep in zip(v["h_grid"], report.losses)
     ]
     rows.append({
-        "h": "sup", "theta_shifted": theta,
+        "h": "sup", "theta_shifted": v["theta"],
         "loss": report.sup_loss, "ci_low": math.nan, "ci_high": math.nan,
     })
     return rows, True
 
 
 def _run_lan_diag(cfg: ExperimentConfig):
-    p = cfg.params
-    family = _family_from(p)
-    n_grid = _param(p, "n_grid", _parse_ints)
-    threshold = _param(p, "threshold")
-    reps = _param(p, "reps", int)
+    v = cfg.values
     report = lan.lan_residual_rate(
-        family, _param(p, "theta"), _param(p, "h"), n_grid, threshold, reps, cfg.seed,
+        _family_from(v), v["theta"], v["h"], v["n_grid"], v["threshold"], v["reps"],
+        cfg.seed,
     )
     rows = [
         {
-            "n": n, "threshold": threshold, "exceed_prob": prob,
-            "wilson_low": lo, "wilson_high": hi, "reps": reps,
+            "n": n, "threshold": v["threshold"], "exceed_prob": prob,
+            "wilson_low": lo, "wilson_high": hi, "reps": v["reps"],
         }
         for n, prob, lo, hi in zip(
-            n_grid, report.exceed_prob, report.wilson_low, report.wilson_high
+            v["n_grid"], report.exceed_prob, report.wilson_low, report.wilson_high
         )
     ]
     return rows, True
 
 
 def _run_coupling(cfg: ExperimentConfig):
-    p = cfg.params
-    family = _family_from(p)
-    n_grid = _param(p, "n_grid", _parse_ints)
-    epsilon_dev = _param(p, "epsilon_dev")
-    resolution = _param(p, "resolution", int)
+    v = cfg.values
     report = lan.quantile_coupling(
-        family, _param(p, "theta"), n_grid, epsilon_dev, resolution,
+        _family_from(v), v["theta"], v["n_grid"], v["epsilon_dev"], v["resolution"],
     )
     rows = [
         {
-            "n": n, "epsilon_dev": epsilon_dev,
-            "deviation_measure": meas, "sup_deviation": sup,
-            "resolution": resolution,
+            "n": n, "epsilon_dev": v["epsilon_dev"], "deviation_measure": meas,
+            "sup_deviation": sup, "resolution": v["resolution"],
         }
-        for n, meas, sup in zip(n_grid, report.deviation_measure, report.sup_deviation)
+        for n, meas, sup in zip(
+            v["n_grid"], report.deviation_measure, report.sup_deviation
+        )
     ]
     return rows, True
 
@@ -420,12 +398,10 @@ def emit_report(
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    echo = dict(sorted(cfg.params.items()))
-    echo.update({
-        "experiment": cfg.experiment, "seed": cfg.seed,
+    return {
+        **cfg.params, "experiment": cfg.experiment, "seed": cfg.seed,
         "workers": cfg.workers, "format": cfg.fmt,
-    })
-    return echo
+    }
 
 
 def _render_csv(rows: list[dict], cfg: ExperimentConfig, partial: bool) -> str:

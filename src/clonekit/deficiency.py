@@ -28,8 +28,9 @@ excluded entry: if none has a negative reduced cost they are feasible for the
 full LP, which certifies the restricted optimum as the full optimum by LP
 duality; otherwise those entries join the LP and it is solved again (column
 generation, Gilmore & Gomory 1961).  The mask only grows, so the worst case
-is the full LP.  The size cap of 40 000 still applies to the full kernel,
-``k_in * k_out``, which keeps instances at desk scale.
+is the full LP.  Two size caps of 40 000 keep instances at desk scale: one on
+the full kernel, ``k_in * k_out``, and one on the deviation rows, ``p * k_out``
+for p parameters (counted before the mirror halving below).
 
 Symmetric Gaussian pairs (a lattice and a shift list symmetric about 0) are
 invariant under the reflection R: x -> -x, h -> -h, which maps input cell j
@@ -64,6 +65,7 @@ STATUS_OPTIMAL = "optimal"
 STATUS_ITERATION_LIMIT = "iteration_limit"
 
 _KERNEL_VARIABLE_CAP = 40_000
+_DEVIATION_ROW_CAP = 40_000  # p * k_out, before the mirror halving
 _BOUNDARY_MASS_LIMIT = 1e-5
 _BAND_SDS = 4.5        # half-width of the starting band, in target-row sds
 _PRICING_TOL = 1e-9    # excluded entries priced below -_PRICING_TOL join the LP
@@ -230,7 +232,8 @@ def lp_deficiency(
     optimum optimal for the full LP.  When both experiments are mirror
     images of themselves (`_mirrored`) and ``k_in`` is even, the LP is solved
     over the reflection-symmetric kernels only, with half the kernel
-    variables.
+    variables.  `_KERNEL_VARIABLE_CAP` bounds ``k_in * k_out`` and
+    `_DEVIATION_ROW_CAP` bounds ``p * k_out``; both are checked before any solve.
     Always feasible (route everything to any fixed target row), so a failed
     solve is a numerical error, not an infeasibility.
     """
@@ -241,6 +244,11 @@ def lp_deficiency(
     if k_in * k_out > _KERNEL_VARIABLE_CAP:
         raise ConfigurationError(
             f"kernel would need {k_in * k_out} variables, cap is {_KERNEL_VARIABLE_CAP}"
+        )
+    if len(source.params) * k_out > _DEVIATION_ROW_CAP:
+        raise ConfigurationError(
+            f"{len(source.params)} shifts x {k_out} target cells would need "
+            f"{len(source.params) * k_out} deviation rows, cap is {_DEVIATION_ROW_CAP}"
         )
     mask = _starting_band(source.probs, target.probs)
     mirror = k_in % 2 == 0 and _mirrored(source.probs) and _mirrored(target.probs)

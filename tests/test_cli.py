@@ -6,6 +6,7 @@ import pytest
 
 from clonekit import ConfigurationError, NumericalError
 from clonekit.cli import (
+    EXPERIMENTS,
     ExperimentConfig,
     emit_report,
     main,
@@ -50,6 +51,29 @@ class TestConfigResolution:
     def test_missing_file(self):
         with pytest.raises(ConfigurationError):
             resolve_config("tv", "/nonexistent.ini", None, None, None, None)
+
+
+class TestKeyTable:
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_every_default_parses(self, experiment):
+        cfg = resolve_config(experiment, None, None, None, None, None)
+        assert cfg.values.keys() == cfg.params.keys()
+
+    def test_table_and_runners_name_the_experiments(self):
+        import clonekit.cli as climod
+
+        assert set(EXPERIMENTS) == set(climod._KEYS) == set(climod._RUNNERS)
+
+    @pytest.mark.parametrize("text,value", [
+        ("true", True), ("Yes", True), ("on", True), ("1", True),
+        ("false", False), ("no", False), ("off", False), ("0", False),
+    ])
+    def test_boolean_words(self, tmp_path, text, value):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[deficiency]\nreport_identity = {text}\n")
+        cfg = resolve_config("deficiency", str(ini), None, None, None, None)
+        assert cfg.values["report_identity"] is value
+        assert cfg.params["report_identity"] == text
 
 
 class TestTvExperiment:
@@ -236,6 +260,9 @@ class TestInvalidInput:
         ("amp-loss", "budget = 1e5", "budget = '1e5'"),
         ("clone-sim", "delta = 1", "delta"),
         ("lan-diag", "threshold = -1", "threshold must be nonnegative"),
+        ("coupling", "family_sigma = abc", "family_sigma = 'abc'"),
+        ("deficiency", "report_identity = ture", "report_identity = 'ture'"),
+        ("deficiency", "a_list = 4\nh_step = 0.01", "deviation rows, cap is 40000"),
     ], ids=[
         "lan-diag-n0", "coupling-n0", "amp-loss-closed-form-r1",
         "amp-loss-closed-form-r2", "tv-mc-budget0", "tv-mc-budget-neg",
@@ -246,6 +273,8 @@ class TestInvalidInput:
         "lan-diag-threshold-nan", "coupling-epsilon-dev-nan",
         "minimax-probe-a-nan", "tv-m0", "minimax-probe-empty-grid",
         "amp-loss-budget-not-int", "clone-sim-delta1", "lan-diag-threshold-neg",
+        "coupling-unused-family-sigma", "deficiency-report-identity-typo",
+        "deficiency-row-cap",
     ])
     def test_exits_2_without_report(self, tmp_path, capsys, experiment, section, says):
         ini = tmp_path / "cfg.ini"

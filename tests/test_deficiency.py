@@ -208,6 +208,22 @@ class TestLpDeficiency:
         with pytest.raises(ConfigurationError):
             lp_deficiency(big, big)
 
+    def test_row_cap_raises_before_any_solve(self, monkeypatch):
+        # 201 shifts x 200 cells: 40 200 deviation rows, while the kernel's
+        # 200 x 200 = 40 000 variables are within their cap
+        import clonekit.deficiency as deficiency_module
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr(deficiency_module, "linprog", no_solve)
+        wide = experiment(np.full((201, 200), 1 / 200))
+        with pytest.raises(ConfigurationError, match="201 shifts .* cap is 40000"):
+            lp_deficiency(wide, wide)
+        under = experiment(np.full((200, 200), 1 / 200))  # 40 000 rows: allowed
+        with pytest.raises(AssertionError, match="linprog called"):
+            lp_deficiency(under, under)
+
     @pytest.mark.parametrize("value", [-1e-6, math.nan])
     def test_negative_value_is_a_numerical_error(self, value):
         # a post-condition on the solver's result, not the caller's mistake
