@@ -243,10 +243,14 @@ def _run_deficiency(cfg: ExperimentConfig):
     if step <= 0:
         raise ConfigurationError(f"h_step must be positive, got {step}")
     closed = gaussian.tv_isotropic(v["r"], 1)
-    rows, ok = [], True
-    for a in v["a_list"]:
+    cells = max(grid.count - 1, 0)  # too few edges fail in discretize_gaussian_pair
+    shift_lists = []
+    for a in v["a_list"]:  # size-check every LP before the first solve
         count = int(math.floor(a / step + 1e-9))
-        hs = [i * step for i in range(-count, count + 1)]
+        deficiency.check_lp_size(2 * count + 1, cells, cells)
+        shift_lists.append([i * step for i in range(-count, count + 1)])
+    rows, ok = [], True
+    for a, hs in zip(v["a_list"], shift_lists):
         source, target = deficiency.discretize_gaussian_pair(
             hs, v["sigma"], v["r"], grid, v["mode"]
         )

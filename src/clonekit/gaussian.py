@@ -71,11 +71,18 @@ class GaussianShift:
         return self.mean.shape[0]
 
     def log_density(self, x: np.ndarray) -> np.ndarray:
-        """Log density at ``x``, shape (m,) or (n, m); returns scalar or (n,)."""
+        """Log density at ``x``, shape (m,) or (n, m); returns scalar or (n,).
+
+        ``z = L^{-1}(x - mean)`` by forward substitution, one coordinate at a
+        time, as in `_shortfall`: a matrix right-hand side would reach BLAS.
+        """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        dev = np.atleast_2d(x) - self.mean
-        z = solve_triangular(self._chol, dev.T, lower=True).T
+        z = np.atleast_2d(x) - self.mean
+        for i in range(self.dim):
+            for j in range(i):
+                z[:, i] -= self._chol[i, j] * z[:, j]
+            z[:, i] /= self._chol[i, i]
         quad = np.sum(np.square(z), axis=-1)
         logdet = 2.0 * np.sum(np.log(np.diag(self._chol)))
         out = -0.5 * (quad + logdet + self.dim * _LOG_2PI)

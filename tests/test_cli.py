@@ -263,6 +263,8 @@ class TestInvalidInput:
         ("coupling", "family_sigma = abc", "family_sigma = 'abc'"),
         ("deficiency", "report_identity = ture", "report_identity = 'ture'"),
         ("deficiency", "a_list = 4\nh_step = 0.01", "deviation rows, cap is 40000"),
+        # a = 0.5 fits (101 shifts), a = 1 does not (201): caught before a = 0.5 solves
+        ("deficiency", "h_step = 0.01", "201 shifts x 200 target cells"),
     ], ids=[
         "lan-diag-n0", "coupling-n0", "amp-loss-closed-form-r1",
         "amp-loss-closed-form-r2", "tv-mc-budget0", "tv-mc-budget-neg",
@@ -274,9 +276,18 @@ class TestInvalidInput:
         "minimax-probe-a-nan", "tv-m0", "minimax-probe-empty-grid",
         "amp-loss-budget-not-int", "clone-sim-delta1", "lan-diag-threshold-neg",
         "coupling-unused-family-sigma", "deficiency-report-identity-typo",
-        "deficiency-row-cap",
+        "deficiency-row-cap", "deficiency-row-cap-of-a-later-a",
     ])
-    def test_exits_2_without_report(self, tmp_path, capsys, experiment, section, says):
+    def test_exits_2_without_report(
+        self, tmp_path, capsys, monkeypatch, experiment, section, says
+    ):
+        import clonekit.deficiency as deficiency_module
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        # every configuration error is raised before any LP is solved
+        monkeypatch.setattr(deficiency_module, "linprog", no_solve)
         ini = tmp_path / "cfg.ini"
         ini.write_text(f"[{experiment}]\n{section}\n")
         out = tmp_path / "x.csv"

@@ -261,6 +261,27 @@ class TestExactBandedLp:
         assert res.kernel_vars < src.n_outcomes * tgt.n_outcomes
         assert res.value == pytest.approx(unreduced_value(src, tgt), abs=1e-9)
 
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 4.0, "witness"])
+    def test_starting_band_certifies_in_one_round(self, a):
+        # the lp-oracle benchmark's four LPs (the three mean-shift ones and
+        # criterion 1's witness) and criterion 3's a = 4 LP; a 4.5-sd band
+        # gave 6 998 kernel variables (6 634 for the witness), all in one round
+        if a == "witness":
+            span = 6 * math.sqrt(2.0) + 2 * math.sqrt(2.0) * math.sqrt(2.0)
+            src, tgt = discretize_gaussian_pair(
+                [-2.0, -1.0, 0.0, 1.0, 2.0], 1.0, 2.0, GridSpec(-span, span, 201),
+                "variance-excess",
+            )
+            wide_band_vars = 6634
+        else:
+            hs = np.arange(-a, a + 1e-9, 0.5)
+            src, tgt = discretize_gaussian_pair(hs, 1.0, 2.0, GridSpec(-10, 10, 201))
+            wide_band_vars = 6998
+        res = lp_deficiency(src, tgt)
+        assert res.pricing_rounds == 1
+        assert res.lp_status == "optimal"
+        assert res.kernel_vars < wide_band_vars
+
     def test_pricing_grows_a_narrow_mask_to_the_optimum(self):
         grid = GridSpec(-10, 10, 121)
         src, tgt = discretize_gaussian_pair([-0.5, 0.0, 0.5], 1.0, 2.0, grid)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.special import ndtr
+from scipy.stats import multivariate_normal
 
 from clonekit import (
     ConfigurationError,
@@ -325,6 +326,7 @@ class TestTvNumeric:
         p = GaussianShift(rng.standard_normal(m), s)
         q = GaussianShift(rng.standard_normal(m), t)
         tv_monte_carlo(p, q, 100, stream(18, "vector-solves"))
+        p.log_density(q.sample(100, stream(20, "vector-solves")))
         if m == 2:
             tv_quadrature(p, q)
         for method in ("auto", "monte_carlo"):
@@ -361,6 +363,16 @@ class TestDataTypes:
         x = 2.0
         expected = -0.5 * ((x - 1.0) ** 2) / 4.0 - 0.5 * math.log(2 * math.pi * 4.0)
         assert g.log_density(np.array([x])) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_log_density_matches_scipy(self, m):
+        rng = stream(21, "log-density", m)
+        a = rng.standard_normal((m, m))
+        g = GaussianShift(rng.standard_normal(m), a @ a.T + 0.3 * np.eye(m))
+        xs = g.mean + 3.0 * rng.standard_normal((50, m))
+        expected = multivariate_normal(g.mean, g.cov).logpdf(xs)
+        assert np.allclose(g.log_density(xs), expected, rtol=1e-12, atol=0.0)
+        assert g.log_density(xs[0]) == pytest.approx(expected[0], rel=1e-12)
 
     def test_sample_moments(self):
         g = GaussianShift([1.0, -2.0], [[2.0, 0.5], [0.5, 1.0]])

@@ -24,3 +24,9 @@ def test_script_main_runs(monkeypatch, capsys, script, args, header):
     table = [ln for ln in lines if not ln.startswith("#")]
     assert header in table[0].split()
     assert len(table) > 1
+    if script == "deficiency_sweep.py":
+        # every LP of the sweep certifies on its starting band in one round
+        columns = table[0].split()
+        for line in table[1:]:
+            row = dict(zip(columns, line.split()))
+            assert row["status"] == "optimal" and row["rounds"] == "1", line
