@@ -16,9 +16,8 @@ the count of the unreduced LP on the same band.
 
 import argparse
 
-import numpy as np
-
 from clonekit import GridSpec, discretize_gaussian_pair, lp_deficiency, tv_isotropic
+from clonekit.deficiency import symmetric_shifts
 
 
 def main() -> None:
@@ -38,7 +37,7 @@ def main() -> None:
     print(f"{'a':>6} {'shifts':>7} {'lp_value':>9} {'gap':>8} {'status':>10} "
           f"{'kernel_vars':>11} {'rounds':>6} {'spx|ipm':>7} {'xover':>6}")
     for a in (float(tok) for tok in args.a_grid.split(",")):
-        hs = list(np.arange(-a, a + 1e-9, args.h_step))
+        hs = symmetric_shifts(a, args.h_step)
         src, tgt = discretize_gaussian_pair(hs, args.sigma, args.r, grid)
         res = lp_deficiency(src, tgt)
         print(f"{a:6.2f} {len(hs):7d} {res.value:9.6f} "

@@ -55,10 +55,9 @@ from .lan import (
     loglik_ratio,
     quantile_coupling,
     score_process,
-    smoothed_score,
     wilson_interval,
 )
-from .lawdist import EmpiricalLaw, mixture_pmf, pmf_l1
+from .lawdist import EmpiricalLaw
 from .streams import stream, stream_key
 
 __all__ = [name for name in dir() if not name.startswith("_")]

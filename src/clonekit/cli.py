@@ -239,16 +239,11 @@ def _run_amp_loss(cfg: ExperimentConfig):
 def _run_deficiency(cfg: ExperimentConfig):
     v = cfg.values
     grid = deficiency.GridSpec(v["grid_lo"], v["grid_hi"], v["grid_count"])
-    step = v["h_step"]
-    if step <= 0:
-        raise ConfigurationError(f"h_step must be positive, got {step}")
     closed = gaussian.tv_isotropic(v["r"], 1)
     cells = max(grid.count - 1, 0)  # too few edges fail in discretize_gaussian_pair
-    shift_lists = []
-    for a in v["a_list"]:  # size-check every LP before the first solve
-        count = int(math.floor(a / step + 1e-9))
-        deficiency.check_lp_size(2 * count + 1, cells, cells)
-        shift_lists.append([i * step for i in range(-count, count + 1)])
+    shift_lists = [deficiency.symmetric_shifts(a, v["h_step"]) for a in v["a_list"]]
+    for hs in shift_lists:  # size-check every LP before the first solve
+        deficiency.check_lp_size(len(hs), cells, cells)
     rows, ok = [], True
     for a, hs in zip(v["a_list"], shift_lists):
         source, target = deficiency.discretize_gaussian_pair(

@@ -22,9 +22,12 @@ each replicate is drawn as (S1, S2, Z) from the statistic laws and the
 smoothing noise, all replicates at once, and the output count law averages
 their Rao-Blackwellized rounding pmfs.  `clone`, which materializes the
 output, and the statistic-level loss share one target formula
-(`_smoothed_target`), evaluated on one replicate's floats or on arrays of
-replicates.  As n grows (at fixed delta and epsilon) the loss approaches
-the Gaussian amplifier constant at gain ratio ``r / (1 - delta)``.
+(`smoothed_score`), evaluated on one replicate's floats or on arrays of
+replicates.  The loss then runs in three named stages: `_rounding_atoms`
+(each replicate's two-atom rounding pmf), `mixture_pmf` (their average, the
+output count law) and `pmf_l1` (its distance to the exact target law).  As n
+grows (at fixed delta and epsilon) the loss approaches the Gaussian amplifier
+constant at gain ratio ``r / (1 - delta)``.
 
 The loss reports hold only what the call computed: `CloneLossReport` the
 loss, its bootstrap CI and the clip rate, and `MinimaxProbeReport` one such
@@ -136,9 +139,9 @@ def estimate_theta(family: Family, data: np.ndarray) -> float:
     return float(_grid_estimate(family, data.mean(), n))
 
 
-def _smoothed_target(family: Family, theta_hat, n2: int, rn: int, epsilon: float,
-                     s2, z):
-    """Steps 2 and 3 up to the real statistic target, elementwise.
+def smoothed_score(family: Family, theta_hat, n2: int, rn: int, epsilon: float,
+                   s2, z):
+    """The smoothed score of step 2, its amplification and step 3's real target.
 
     ``s2`` is the sum of the ``n2`` scoring draws and ``z`` the smoothing
     noise (None when epsilon = 0).  Returns the smoothed score (J^{-1} times
@@ -183,7 +186,7 @@ def clone(
         score_data = data
     rn, n2 = cfg.rn, score_data.size
     z = rng.standard_normal() if cfg.epsilon > 0.0 else None
-    smoothed, amplified, target = _smoothed_target(
+    smoothed, amplified, target = smoothed_score(
         family, that, n2, rn, cfg.epsilon, float(score_data.sum()), z
     )
     clipped = False
@@ -217,7 +220,7 @@ def _stat_targets(family: Family, cfg: ClonerConfig, s1, s2, z,
     """Real statistic targets of replicates with sums ``s1``, ``s2`` and noise ``z``.
 
     The array form of `estimate_theta` on the n1 estimation draws (sum
-    ``s1``) followed by `_smoothed_target` on the scoring draws (sum ``s2``;
+    ``s1``) followed by `smoothed_score` on the scoring draws (sum ``s2``;
     ``z`` is None when epsilon = 0).
     """
     if theta_hat is None:
@@ -225,10 +228,10 @@ def _stat_targets(family: Family, cfg: ClonerConfig, s1, s2, z,
         n2 = cfg.n2
     else:
         that, n2 = theta_hat, cfg.n
-    return _smoothed_target(family, that, n2, cfg.rn, cfg.epsilon, s2, z)[2]
+    return smoothed_score(family, that, n2, cfg.rn, cfg.epsilon, s2, z)[2]
 
 
-def _rounding_pmf(family: Family, rn: int, target: np.ndarray) -> tuple[
+def _rounding_atoms(family: Family, rn: int, target: np.ndarray) -> tuple[
     np.ndarray, np.ndarray, np.ndarray
 ]:
     """Output-count pmf of `Family.round_stat` given each real target.
@@ -261,7 +264,7 @@ def _replicate_atoms(family: Family, theta: float, cfg: ClonerConfig, reps: int,
     s2 = family.sample_stat(theta, cfg.n if frozen else cfg.n2, reps, rng)
     z = rng.standard_normal(reps) if cfg.epsilon > 0.0 else None
     target = _stat_targets(family, cfg, s1, s2, z, theta_hat)
-    return _rounding_pmf(family, cfg.rn, target)
+    return _rounding_atoms(family, cfg.rn, target)
 
 
 def clone_loss_discrete(
@@ -283,6 +286,8 @@ def clone_loss_discrete(
     count, which strictly reduces the variance of the plug-in estimate.  The
     confidence interval is Efron's bootstrap over replicates: each resample
     reweights them by an exact Multinomial(reps, 1/reps) count vector.
+    ``bootstrap = 0`` skips it and reports a NaN interval; a percentile
+    interval needs at least 2 resamples.
 
     ``theta_hat`` freezes the estimation stage as in `clone`: no S1 is
     drawn and S2 sums all n draws.
@@ -291,6 +296,10 @@ def clone_loss_discrete(
         raise ConfigurationError(f"count-law loss needs a discrete family, got {family.name}")
     if reps < 2:
         raise ConfigurationError("reps must be at least 2")
+    if bootstrap != 0 and bootstrap < 2:
+        raise ConfigurationError(
+            f"bootstrap must be 0 (no interval) or at least 2, got {bootstrap}"
+        )
     family.require_in_domain(theta)
     atoms, weights, clipped = _replicate_atoms(family, theta, cfg, reps, label, theta_hat)
 
@@ -300,7 +309,7 @@ def clone_loss_discrete(
     target_vec = np.zeros(hi_k - lo_k + 1)
     target_vec[target_law.support - lo_k] = target_law.mass
     index = (atoms - lo_k).ravel()
-    loss = _count_l1(index, weights.ravel(), target_vec, reps)
+    loss = pmf_l1(mixture_pmf(index, weights.ravel(), target_vec.size, reps), target_vec)
 
     ci_low, ci_high = _bootstrap_ci(
         index, weights, target_vec, reps, bootstrap,
@@ -317,21 +326,25 @@ def clone_loss_discrete(
     )
 
 
-def _count_l1(index, weights, target_vec, reps) -> float:
-    """L1 distance of the weighted atom mixture (total weight ``reps``) to the target."""
-    pmf = np.bincount(index, weights=weights, minlength=target_vec.size) / reps
-    return float(np.abs(pmf - target_vec).sum())
+def mixture_pmf(index, weights, cells: int, reps: int) -> np.ndarray:
+    """Count law on ``cells`` cells of the weighted atoms (total weight ``reps``)."""
+    return np.bincount(index, weights=weights, minlength=cells) / reps
+
+
+def pmf_l1(p: np.ndarray, q: np.ndarray) -> float:
+    """Sum of |p(k) - q(k)| over two pmfs on the same cells; in [0, 2]."""
+    return float(np.abs(p - q).sum())
 
 
 def _bootstrap_ci(index, weights, target_vec, reps, bootstrap, rng):
-    """Efron's 95% percentile interval of `_count_l1` over ``bootstrap`` resamples.
+    """Efron's 95% percentile interval of the loss over ``bootstrap`` resamples.
 
     A resample weights replicate i by its count among ``reps`` uniform picks.
     The weighted atoms are one sparse (cells, reps) matrix, each row in atom
     order, so a resample is one product that sums each cell in `np.bincount`'s
-    order: the losses equal a per-resample `_count_l1` bit for bit.
+    order: the losses equal a per-resample `mixture_pmf` and `pmf_l1` bit for bit.
     """
-    if bootstrap < 2:
+    if bootstrap == 0:
         return math.nan, math.nan
     order = np.argsort(index, kind="stable")
     row_ptr = np.concatenate(([0], np.cumsum(np.bincount(index, minlength=target_vec.size))))

@@ -175,6 +175,24 @@ class GridSpec:
         return np.linspace(self.lo, self.hi, self.count)
 
 
+def symmetric_shifts(a: float, step: float) -> list[float]:
+    """The shifts ``i * step`` with ``|i * step| <= a`` (1e-9 slack in a / step).
+
+    Symmetric about 0, so on a symmetric lattice `lp_deficiency` solves the
+    mirror-reduced LP.  A list longer than `_DEVIATION_ROW_CAP` is refused
+    before it is built: every LP on it would be over that cap.
+    """
+    if not step > 0:
+        raise ConfigurationError(f"h_step must be positive, got {step}")
+    count = int(math.floor(a / step + 1e-9))
+    if 2 * count + 1 > _DEVIATION_ROW_CAP:
+        raise ConfigurationError(
+            f"a = {a} at h_step = {step} gives {2 * count + 1} shifts, "
+            f"over the deviation-row cap of {_DEVIATION_ROW_CAP}"
+        )
+    return [i * step for i in range(-count, count + 1)]
+
+
 def discretize_gaussian_pair(
     h_list,
     sigma: float,

@@ -8,9 +8,9 @@ theta over n i.i.d. draws is approximated by the quadratic form
 where ``score_sum`` is the normalized score process and J the Fisher
 information.  The routines here measure how fast that approximation takes
 hold: exceedance probabilities of the expansion residual, the quadratic-mean
-differentiability defect, the law of the noise-smoothed normalized score, and
-a one-dimensional quantile coupling of the score process with its Gaussian
-limit.
+differentiability defect, and a one-dimensional quantile coupling of the
+score process with its Gaussian limit.  The noise-smoothed score that the
+cloner amplifies is `clonekit.cloner.smoothed_score`.
 
 Results hold only what their call computed: `loglik_ratio` returns the pair
 ``(exact, quadratic)``, `dqm_residual` one defect per step size, and the
@@ -142,29 +142,6 @@ def lan_residual_rate(
     return ExceedanceReport(
         exceed_prob=tuple(probs), wilson_low=tuple(lows), wilson_high=tuple(highs)
     )
-
-
-def smoothed_score(
-    family: Family,
-    theta: float,
-    data: np.ndarray,
-    epsilon: float,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """J^{-1} times the score process, plus N(0, epsilon) noise.
-
-    epsilon = 0 is exactly the rescaled score; positive epsilon makes the law
-    absolutely continuous, which is what the cloning pipeline needs before
-    inverting back to a statistic target.
-    """
-    if not epsilon >= 0:
-        raise ConfigurationError(f"epsilon must be nonnegative, got {epsilon}")
-    base = score_process(family, theta, data) / family.fisher(theta)
-    if epsilon == 0.0:
-        return base
-    if rng is None:
-        raise ConfigurationError("positive epsilon requires an rng")
-    return base + math.sqrt(epsilon) * rng.standard_normal()
 
 
 def dqm_residual(family: Family, theta: float, h_grid) -> tuple[float, ...]:

@@ -7,7 +7,9 @@ test resolves each target the way the tracer does, without installing
 anything, and checks that every per-layer metric listed in `BENCHMARK.json`
 still has one.  The second installs the tracer and runs every CLI experiment
 and one `clone` call under it, so a result type that loses an attribute a
-counter reads fails here rather than in a traced benchmark run.
+counter reads fails here rather than in a traced benchmark run.  The third
+checks that the count-law loss alone, with no `clone`, charges time to each
+of its stage layers.
 """
 
 import importlib.util
@@ -115,3 +117,19 @@ def test_traced_runs_succeed_and_counters_are_finite(tmp_path):
     assert "cloner.clipped" in counts
     bad = {name: v for name, v in counts.items() if not math.isfinite(v)}
     assert bad == {}, f"non-finite counters: {bad}"
+
+
+def test_count_law_stages_carry_self_time():
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        cfg = clonekit.ClonerConfig(n=64, r=2.0, delta=0.1, epsilon=0.01, seed=3)
+        clonekit.cloner.clone_loss_discrete(
+            clonekit.Bernoulli(), 0.3, cfg, reps=200, bootstrap=10
+        )
+    finally:
+        tracer.uninstall()
+    times = tracer.self_times()
+    stages = ("lan.smoothed_score", "lawdist.mixture", "lawdist.l1", "cloner.rounding")
+    idle = [layer for layer in stages if not times.get(layer, 0.0) > 0.0]
+    assert idle == [], f"count-law stages with no self time: {idle}"

@@ -265,6 +265,11 @@ class TestInvalidInput:
         ("deficiency", "a_list = 4\nh_step = 0.01", "deviation rows, cap is 40000"),
         # a = 0.5 fits (101 shifts), a = 1 does not (201): caught before a = 0.5 solves
         ("deficiency", "h_step = 0.01", "201 shifts x 200 target cells"),
+        # no shift list past the row cap is built, whatever the grid
+        ("deficiency", "h_step = 1e-5", "100001 shifts, over the deviation-row cap"),
+        # one resample has no percentile interval; only 0 skips the bootstrap
+        ("clone-sim", "bootstrap = -5", "bootstrap must be 0"),
+        ("clone-sim", "bootstrap = 1", "bootstrap must be 0"),
     ], ids=[
         "lan-diag-n0", "coupling-n0", "amp-loss-closed-form-r1",
         "amp-loss-closed-form-r2", "tv-mc-budget0", "tv-mc-budget-neg",
@@ -277,6 +282,7 @@ class TestInvalidInput:
         "amp-loss-budget-not-int", "clone-sim-delta1", "lan-diag-threshold-neg",
         "coupling-unused-family-sigma", "deficiency-report-identity-typo",
         "deficiency-row-cap", "deficiency-row-cap-of-a-later-a",
+        "deficiency-shift-list-cap", "clone-sim-bootstrap-neg", "clone-sim-bootstrap1",
     ])
     def test_exits_2_without_report(
         self, tmp_path, capsys, monkeypatch, experiment, section, says

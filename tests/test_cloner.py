@@ -18,17 +18,17 @@ from clonekit import (
     clone_loss_discrete,
     estimate_theta,
     local_minimax_probe,
+    score_process,
     stream,
     tv_isotropic,
 )
 from clonekit import cloner
 from clonekit.cloner import (
     _replicate_atoms,
-    _rounding_pmf,
-    _smoothed_target,
+    _rounding_atoms,
     _stat_targets,
+    smoothed_score,
 )
-from clonekit.lan import smoothed_score
 
 TV_2_1 = 0.3321281500  # || N(0, 1) - N(0, 2) ||_1, independent oracle
 
@@ -204,7 +204,9 @@ def _reference_clone(family, data, cfg, rng, theta_hat=None):
         score_data = data[cfg.n1:]
     else:
         that, score_data = theta_hat, data
-    smoothed = smoothed_score(family, that, score_data, cfg.epsilon, rng)
+    smoothed = score_process(family, that, score_data) / family.fisher(that)
+    if cfg.epsilon > 0.0:
+        smoothed += math.sqrt(cfg.epsilon) * rng.standard_normal()
     amplified = math.sqrt(cfg.rn / score_data.size) * smoothed
     # the rn-outcome score sum is J * amplified; invert score_from_stat
     score_sum = family.fisher(that) * amplified
@@ -380,7 +382,7 @@ class TestStatisticLevelAgreement:
                 that = estimate_theta(family, data[: cfg.n1])
                 score_data = data[cfg.n1:]
             s1[i], s2[i] = data[: cfg.n1].sum(), score_data.sum()
-            scalar[i] = _smoothed_target(
+            scalar[i] = smoothed_score(
                 family, that, score_data.size, cfg.rn, cfg.epsilon,
                 float(score_data.sum()), float(z[i]) if cfg.epsilon > 0 else None,
             )[2]
@@ -389,7 +391,7 @@ class TestStatisticLevelAgreement:
                                theta if frozen else None)
         np.testing.assert_allclose(target, scalar, rtol=1e-12, atol=0.0)
 
-        atoms, weights, clipped = _rounding_pmf(family, cfg.rn, target)
+        atoms, weights, clipped = _rounding_atoms(family, cfg.rn, target)
         for t, (k0, k1), (w0, w1), clip in zip(scalar, atoms, weights, clipped):
             # u just below 1 keeps the floor, u = 0 takes the ceiling
             low, low_clip = family.round_stat(t, cfg.rn, _FixedRng(u=1.0 - 1e-16))

@@ -27,7 +27,7 @@ from clonekit import (
     lp_deficiency,
     tv_isotropic,
 )
-from clonekit.deficiency import _priced_solve, _starting_band
+from clonekit.deficiency import _mirrored, _priced_solve, _starting_band, symmetric_shifts
 
 TV_2_1 = 0.3321281500
 
@@ -154,6 +154,13 @@ class TestDiscretize:
         for bogus in ("bogus", "cov-root"):
             with pytest.raises(ConfigurationError):
                 discretize_gaussian_pair([0.0], 1.0, 2.0, grid, bogus)
+
+    def test_symmetric_shifts_mirror_the_pair(self):
+        # a = 2 is not a multiple of 0.3: the list stops at 1.8 on both sides
+        hs = symmetric_shifts(2.0, 0.3)
+        assert len(hs) == 13 and hs == [-h for h in reversed(hs)]
+        src, tgt = discretize_gaussian_pair(hs, 1.0, 2.0, GridSpec(-10, 10, 81))
+        assert _mirrored(src.probs) and _mirrored(tgt.probs)
 
 
 class TestLpDeficiency:

@@ -20,10 +20,10 @@ from clonekit import (
     loglik_ratio,
     quantile_coupling,
     score_process,
-    smoothed_score,
     stream,
     wilson_interval,
 )
+from clonekit.cloner import smoothed_score
 
 
 class TestScoreProcess:
@@ -147,36 +147,32 @@ class TestWilson:
 
 
 class TestSmoothedScore:
+    """The cloner's smoothed score, on arrays of statistic draws."""
+
     def test_epsilon_zero_deterministic(self):
         fam = Bernoulli()
         data = np.array([1, 0, 1, 1])
-        out = smoothed_score(fam, 0.5, data, 0.0)
+        n = data.size
+        out = smoothed_score(fam, 0.5, n, n, 0.0, float(data.sum()), None)[0]
         expected = score_process(fam, 0.5, data) / fam.fisher(0.5)
         assert out == expected
 
     def test_gaussian_law_exact(self):
         fam = GaussianLocation(1.0)
         reps, n = 20_000, 30
-        vals = np.empty(reps)
-        for i in range(reps):
-            rng = stream(8, "sm-g", i)
-            vals[i] = smoothed_score(fam, 0.0, fam.sample(0.0, n, rng), 0.0)
+        s2 = fam.sample_stat(0.0, n, reps, stream(8, "sm-g"))
+        vals = smoothed_score(fam, 0.0, n, n, 0.0, s2, None)[0]
         ks = stats.kstest(vals, stats.norm.cdf)
         assert ks.pvalue > 0.01
 
     def test_bernoulli_smoothed_law(self):
         fam, theta, eps, n, reps = Bernoulli(), 0.5, 0.01, 400, 10_000
-        vals = np.empty(reps)
-        for i in range(reps):
-            rng = stream(9, "sm-b", i)
-            vals[i] = smoothed_score(fam, theta, fam.sample(theta, n, rng), eps, rng)
+        rng = stream(9, "sm-b")
+        s2 = fam.sample_stat(theta, n, reps, rng)
+        vals = smoothed_score(fam, theta, n, n, eps, s2, rng.standard_normal(reps))[0]
         scale = math.sqrt(1 / fam.fisher(theta) + eps)
         ks = stats.kstest(vals, lambda x: stats.norm.cdf(x, scale=scale))
         assert ks.pvalue > 0.01
-
-    def test_requires_rng_for_noise(self):
-        with pytest.raises(ValueError):
-            smoothed_score(Bernoulli(), 0.5, np.array([1]), 0.5)
 
 
 class TestDqm:
