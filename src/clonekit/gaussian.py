@@ -22,6 +22,11 @@ frame, elementwise in the same standard-normal draws that
 `GaussianShift.sample` would use, in cache-sized blocks.  Its whitening
 matrices come from vector solves: a matrix right-hand side reaches BLAS
 ``trsm``, which wakes a BLAS thread that then spins through the whole pass.
+A call holds one float per draw of a side plus the block scratch: both sides
+fill the same buffer in turn, and each side's mean and variance are taken in
+place with the steps of ``ndarray.var``, so they match it bit for bit.  The
+budget is capped at 10^8 draws per side (`_BUDGET_CAP`, an 800 MB buffer),
+so an oversized config is a `ConfigurationError`, not a failed allocation.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Monte Carlo draws per block: a block and its scratch stay in cache
 _BLOCK = 1 << 14
+# Monte Carlo draws per side: the one float buffer of a call is 800 MB here
+_BUDGET_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -200,11 +207,20 @@ def tv_monte_carlo(
     rare event that a modest budget seldom samples, and the reported
     ``std_error`` then understates the error by orders of magnitude; compare
     there against quadrature or with an absolute floor.
+
+    Memory is one float per draw of a side plus the block scratch: the two
+    sides take turns in one buffer, each reduced to its mean and variance
+    before the next fills it.  ``budget`` is capped at `_BUDGET_CAP` draws
+    per side, checked before anything is allocated or drawn.
     """
     if p.dim != q.dim:
         raise ConfigurationError(f"dimension mismatch: {p.dim} vs {q.dim}")
     if budget < 1:
         raise ConfigurationError(f"budget must be positive, got {budget}")
+    if budget > _BUDGET_CAP:
+        raise ConfigurationError(
+            f"budget {budget} is over the cap of {_BUDGET_CAP} draws per side"
+        )
     return _tv_monte_carlo(p, q, budget, rng)
 
 
@@ -213,15 +229,31 @@ def _tv_monte_carlo(
 ) -> tuple[float, float]:
     """`tv_monte_carlo` without its checks.
 
-    Blocked draws continue one stream, so the value equals one ``(budget,
-    m)`` draw per side, the p side first, bit for bit.
-    `perfbench/tracer.py` hooks this name and reads ``budget`` positionally.
+    One ``budget``-float buffer holds the p side's shortfalls, then, once
+    their moments are taken, the q side's.  Blocked draws continue one
+    stream, so the value equals one ``(budget, m)`` draw per side, the p side
+    first, bit for bit.  `perfbench/tracer.py` hooks this name and reads
+    ``budget`` positionally.
     """
-    a = _shortfall(p, q, budget, rng)
-    b = _shortfall(q, p, budget, rng)
-    value = float(a.mean() + b.mean())
-    se = math.sqrt(a.var() / budget + b.var() / budget)
+    buf = np.empty(budget)
+    mean_a, var_a = _moments(_shortfall(p, q, rng, buf))
+    mean_b, var_b = _moments(_shortfall(q, p, rng, buf))
+    value = float(mean_a + mean_b)
+    se = math.sqrt(var_a / budget + var_b / budget)
     return value, se
+
+
+def _moments(x: np.ndarray) -> tuple[float, float]:
+    """``(x.mean(), x.var())``, overwriting ``x`` with its squared deviations.
+
+    The steps of numpy's ``ndarray.var`` (sum over size, subtract, square,
+    sum over size), done in place, so both values are the same bit for bit
+    without the budget-sized temporary ``var`` allocates.
+    """
+    mean = x.mean()
+    np.subtract(x, mean, out=x)
+    np.square(x, out=x)
+    return mean, np.add.reduce(x) / x.size
 
 
 def _whitened(p: GaussianShift, q: GaussianShift) -> np.ndarray:
@@ -236,24 +268,30 @@ def _whitened(p: GaussianShift, q: GaussianShift) -> np.ndarray:
 
 
 def _shortfall(
-    p: GaussianShift, q: GaussianShift, budget: int, rng: np.random.Generator
+    p: GaussianShift, q: GaussianShift, rng: np.random.Generator, out: np.ndarray
 ) -> np.ndarray:
-    """``(1 - q/p)^+`` at ``budget`` draws ``x = mean_p + L_p z`` of p.
+    """Fill ``out`` with ``(1 - q/p)^+``, one draw ``x = mean_p + L_p z`` of p each.
 
     In p's whitened frame ``L_q^{-1}(x - mean_q) = A z + b`` with
     ``A = L_q^{-1} L_p`` (lower triangular) and ``b = L_q^{-1}(mean_p -
     mean_q)``, so ``log q(x) - log p(x) = (|z|^2 - |A z + b|^2) / 2 + log det
     L_p - log det L_q``.  The m x m solves are the only ones; the per-draw
     work is elementwise, one coordinate at a time, per block of `_BLOCK`.
+    Each block's draws overwrite one block-sized ``z``, so besides ``out``
+    the pass holds ``m + 2`` floats per block row and allocates nothing per
+    block.  Returns ``out``.
     """
     a_mat = _whitened(q, p)
     b = solve_triangular(q._chol, p.mean - q.mean, lower=True)
     log_det = np.sum(np.log(np.diag(p._chol))) - np.sum(np.log(np.diag(q._chol)))
-    out = np.empty(budget)
-    w, term = np.empty((2, min(budget, _BLOCK)))
+    budget = len(out)
+    rows = min(budget, _BLOCK)
+    z_buf = np.empty((rows, p.dim))
+    w, term = np.empty((2, rows))
     for start in range(0, budget, _BLOCK):
-        z = rng.standard_normal((min(_BLOCK, budget - start), p.dim))
-        gap, w_k, term_k = out[start:start + len(z)], w[:len(z)], term[:len(z)]
+        k = min(_BLOCK, budget - start)
+        z = rng.standard_normal(out=z_buf[:k])
+        gap, w_k, term_k = out[start:start + k], w[:k], term[:k]
         gap.fill(0.0)  # |z|^2 - |A z + b|^2, one coordinate at a time
         for i in range(p.dim):
             np.multiply(z[:, i], a_mat[i, i], out=w_k)

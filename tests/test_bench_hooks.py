@@ -115,6 +115,9 @@ def test_traced_runs_succeed_and_counters_are_finite(tmp_path):
     assert codes == dict.fromkeys(clonekit.cli.EXPERIMENTS, 0)
     counts = tracer.counts()
     assert "cloner.clipped" in counts
+    # tv at budget 1000 and amp-loss at two shifts, two sides each: the
+    # hook reads the budget as the third positional argument
+    assert counts["gaussian.mc_samples"] == 6000
     bad = {name: v for name, v in counts.items() if not math.isfinite(v)}
     assert bad == {}, f"non-finite counters: {bad}"
 

@@ -270,6 +270,11 @@ class TestInvalidInput:
         # one resample has no percentile interval; only 0 skips the bootstrap
         ("clone-sim", "bootstrap = -5", "bootstrap must be 0"),
         ("clone-sim", "bootstrap = 1", "bootstrap must be 0"),
+        # past the draw cap: refused before the budget-sized buffer is allocated
+        ("tv", "routes = monte_carlo\nbudget = 100000000000",
+         "budget 100000000000 is over the cap"),
+        ("amp-loss", "method = monte_carlo\nbudget = 100000000000",
+         "budget 100000000000 is over the cap"),
     ], ids=[
         "lan-diag-n0", "coupling-n0", "amp-loss-closed-form-r1",
         "amp-loss-closed-form-r2", "tv-mc-budget0", "tv-mc-budget-neg",
@@ -283,6 +288,7 @@ class TestInvalidInput:
         "coupling-unused-family-sigma", "deficiency-report-identity-typo",
         "deficiency-row-cap", "deficiency-row-cap-of-a-later-a",
         "deficiency-shift-list-cap", "clone-sim-bootstrap-neg", "clone-sim-bootstrap1",
+        "tv-mc-budget-over-cap", "amp-loss-mc-budget-over-cap",
     ])
     def test_exits_2_without_report(
         self, tmp_path, capsys, monkeypatch, experiment, section, says

@@ -88,6 +88,11 @@ class TestEstimateTheta:
         est = estimate_theta(Poisson(), np.zeros(4, dtype=int))
         assert est == pytest.approx(0.5)
 
+    def test_non_finite_sample_mean_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="mean"):
+                estimate_theta(GaussianLocation(1.0), np.array([0.0, bad]))
+
     def test_tie_rounds_toward_floor(self):
         # mean 0.25 with n = 4 sits exactly between grid points 0 and 0.5
         est = estimate_theta(GaussianLocation(1.0), np.array([0.25, 0.25, 0.25, 0.25]))
@@ -410,18 +415,41 @@ class TestStatisticLevelAgreement:
         if cfg.epsilon == 5.0:
             assert clipped.any()
 
+    @staticmethod
+    def _samples(family, n1, rng):
+        """Estimation samples of size n1 that reach every branch of the snap."""
+        # discrete: every sum up to n1 (Bernoulli) or 3 n1 (Poisson), so the
+        # clip margins, the half-grid ties and n1 = 1 with no interior point
+        if isinstance(family, Bernoulli):
+            return [np.r_[np.ones(k, dtype=int), np.zeros(n1 - k, dtype=int)]
+                    for k in range(n1 + 1)]
+        if isinstance(family, Poisson):
+            return [np.r_[k, np.zeros(n1 - 1, dtype=int)] for k in range(3 * n1 + 1)]
+        step = 1.0 / math.sqrt(n1)
+        # exact half-grid ties on both sides of zero, a -0.0 snap index
+        # (means in (-step / 2, 0)), then random means
+        means = [(k + 0.5) * step for k in range(-3, 3)] + [-0.4 * step, -0.0, 0.0]
+        samples = [np.full(n1, mu) for mu in means]
+        samples += [rng.normal(rng.uniform(-2.0, 2.0), 1.0, n1) for _ in range(40)]
+        return samples
+
     def test_grid_estimate_matches_scalar(self):
-        fam = Bernoulli()
-        for n1 in (1, 5, 50):
-            counts = np.arange(n1 + 1)
-            snapped = [estimate_theta(fam, np.r_[np.ones(k), np.zeros(n1 - k)])
-                       for k in counts]
-            cfg = ClonerConfig(n=4 * n1, r=1.0, delta=0.25, epsilon=0.0, seed=1)
-            assert cfg.n1 == n1
-            # with r = 1, epsilon = 0 and S2 = n2 * theta_hat the target is rn theta_hat
-            s2 = np.array(snapped) * cfg.n2
-            target = _stat_targets(fam, cfg, counts, s2, None)
-            np.testing.assert_allclose(target, np.array(snapped) * cfg.rn, rtol=1e-12)
+        # the scalar snap of `estimate_theta` and the array one of
+        # `_stat_targets` agree bit for bit, signed zeros included
+        rng = stream(21, "grid-scalar")
+        for fam in (Bernoulli(), Poisson(), GaussianLocation(1.0)):
+            for n1 in (1, 2, 4, 5, 9, 50, 400):
+                samples = self._samples(fam, n1, rng)
+                snapped = np.array([estimate_theta(fam, d) for d in samples])
+                s1 = np.array([d.sum() for d in samples])
+                grid = cloner._grid_estimate(fam, s1 / n1, n1)
+                np.testing.assert_array_equal(snapped, grid)
+                assert np.array_equal(np.signbit(snapped), np.signbit(grid))
+                cfg = ClonerConfig(n=4 * n1, r=1.0, delta=0.25, epsilon=0.0, seed=1)
+                assert cfg.n1 == n1
+                # r = 1, epsilon = 0 and S2 = n2 theta_hat: the target is rn theta_hat
+                target = _stat_targets(fam, cfg, s1, snapped * cfg.n2, None)
+                np.testing.assert_array_equal(target, snapped * cfg.rn)
 
 
 class TestSequenceVsCountLevel:

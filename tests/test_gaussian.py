@@ -6,6 +6,7 @@ form of the 1-dof chi-square CDF, and a 10^6-sample Monte Carlo for m = 3.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,6 +346,25 @@ class TestTvNumeric:
         for budget in (0, -5):
             with pytest.raises(ValueError):
                 tv_monte_carlo(p, p, budget, stream(0, "err"))
+        # no rng: the cap is checked before anything is allocated or drawn
+        with pytest.raises(ValueError, match="over the cap"):
+            tv_monte_carlo(p, p, gaussian._BUDGET_CAP + 1, None)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_monte_carlo_holds_one_buffer(self, m):
+        # the two sides take turns in one budget-sized buffer and their
+        # moments are taken in place, where ndarray.var() would allocate a
+        # second one; the block scratch adds 5-8%
+        budget = 1_000_000
+        p = GaussianShift(np.zeros(m), 2.0 * np.eye(m))
+        q = GaussianShift(np.full(m, 0.5), np.eye(m))
+        tracemalloc.start()
+        try:
+            tv_monte_carlo(p, q, budget, stream(22, "one-buffer", m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * budget
 
 
 class TestDataTypes:
