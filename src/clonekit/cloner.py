@@ -107,19 +107,13 @@ class CloneRunRecord(NamedTuple):
     clipped: bool
 
 
-def _grid(family: Family, n: int) -> tuple[float, float, float]:
-    """Step of the ``1/sqrt(n)`` grid and its strictly interior index range."""
+def _grid_estimate(family: Family, mean, n: int):
+    """The snap of `estimate_theta`, elementwise on sample means over n draws."""
+    mle = family.clip_theta(mean, n)
     step = 1.0 / math.sqrt(n)
     lo, hi = family.param_lo, family.param_hi
     k_min = math.floor(lo / step) + 1 if math.isfinite(lo) else -math.inf
     k_max = math.ceil(hi / step) - 1 if math.isfinite(hi) else math.inf
-    return step, k_min, k_max
-
-
-def _grid_estimate(family: Family, mean, n: int):
-    """The snap of `estimate_theta`, elementwise on sample means over n draws."""
-    mle = family.clip_theta(mean, n)
-    step, k_min, k_max = _grid(family, n)
     if k_min > k_max:
         # no grid point is strictly interior (n = 1 on a bounded domain):
         # keep the clipped estimate rather than leave the domain
@@ -136,9 +130,8 @@ def estimate_theta(family: Family, data: np.ndarray) -> float:
     interior margin, then rounded to the nearest multiple of
     ``1 / sqrt(len(data))`` with half-ties toward the floor (deterministic
     across platforms), and finally kept strictly inside the domain so the
-    Fisher information stays bounded.  The steps of `_grid_estimate` on one
-    float, with `math` and builtins: equal bit for bit, and a fraction of
-    the cost of numpy calls on a scalar.
+    Fisher information stays bounded.  The mean is summed in the sample's
+    own dtype, so int data is not copied to float first.
     """
     data = np.asarray(data)
     n = data.size
@@ -147,13 +140,7 @@ def estimate_theta(family: Family, data: np.ndarray) -> float:
     mean = float(data.sum()) / n
     if not math.isfinite(mean):
         raise ConfigurationError(f"estimation sample mean is {mean}")
-    lo, hi = family.clip_bounds(n)
-    mle = min(max(mean, lo), hi)
-    step, k_min, k_max = _grid(family, n)
-    if k_min > k_max:
-        return mle
-    # an int index, so no signed zero reaches the product
-    return min(max(math.ceil(mle / step - 0.5), k_min), k_max) * step
+    return float(_grid_estimate(family, mean, n))
 
 
 def smoothed_score(family: Family, theta_hat, n2: int, rn: int, epsilon: float,

@@ -61,25 +61,20 @@ class Family:
                 f"{self.name}: theta={theta} outside ({self.param_lo}, {self.param_hi})"
             )
 
-    def clip_bounds(self, n: int) -> tuple[float, float]:
-        """The interior margin [lo + 1/n, hi - 1/n]; an infinite end stays infinite.
+    def clip_theta(self, theta, n: int):
+        """Clip into the interior margin [lo + 1/n, hi - 1/n] (where finite).
 
         On bounded domains the margin is capped at a third of the width so
-        the interval stays nonempty for tiny n.
+        the interval stays nonempty for tiny n.  Elementwise on arrays.
         """
         lo, hi = self.param_lo, self.param_hi
         margin = 1.0 / n
         if math.isfinite(lo) and math.isfinite(hi):
             margin = min(margin, (hi - lo) / 3.0)
-        return lo + margin, hi - margin
-
-    def clip_theta(self, theta, n: int):
-        """Clip into `clip_bounds` (where finite).  Elementwise on arrays."""
-        lo, hi = self.clip_bounds(n)
         if math.isfinite(lo):
-            theta = np.maximum(theta, lo)
+            theta = np.maximum(theta, lo + margin)
         if math.isfinite(hi):
-            theta = np.minimum(theta, hi)
+            theta = np.minimum(theta, hi - margin)
         return theta
 
     # -- single-outcome quantities ----------------------------------------

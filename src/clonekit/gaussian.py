@@ -277,21 +277,16 @@ def _shortfall(
     mean_q)``, so ``log q(x) - log p(x) = (|z|^2 - |A z + b|^2) / 2 + log det
     L_p - log det L_q``.  The m x m solves are the only ones; the per-draw
     work is elementwise, one coordinate at a time, per block of `_BLOCK`.
-    Each block's draws overwrite one block-sized ``z``, so besides ``out``
-    the pass holds ``m + 2`` floats per block row and allocates nothing per
-    block.  Returns ``out``.
+    Returns ``out``.
     """
     a_mat = _whitened(q, p)
     b = solve_triangular(q._chol, p.mean - q.mean, lower=True)
     log_det = np.sum(np.log(np.diag(p._chol))) - np.sum(np.log(np.diag(q._chol)))
     budget = len(out)
-    rows = min(budget, _BLOCK)
-    z_buf = np.empty((rows, p.dim))
-    w, term = np.empty((2, rows))
+    w, term = np.empty((2, min(budget, _BLOCK)))
     for start in range(0, budget, _BLOCK):
-        k = min(_BLOCK, budget - start)
-        z = rng.standard_normal(out=z_buf[:k])
-        gap, w_k, term_k = out[start:start + k], w[:k], term[:k]
+        z = rng.standard_normal((min(_BLOCK, budget - start), p.dim))
+        gap, w_k, term_k = out[start:start + len(z)], w[:len(z)], term[:len(z)]
         gap.fill(0.0)  # |z|^2 - |A z + b|^2, one coordinate at a time
         for i in range(p.dim):
             np.multiply(z[:, i], a_mat[i, i], out=w_k)

@@ -434,8 +434,8 @@ class TestStatisticLevelAgreement:
         return samples
 
     def test_grid_estimate_matches_scalar(self):
-        # the scalar snap of `estimate_theta` and the array one of
-        # `_stat_targets` agree bit for bit, signed zeros included
+        # `estimate_theta` on a sample and the array snap of `_stat_targets`
+        # on its sum agree bit for bit, signed zeros included
         rng = stream(21, "grid-scalar")
         for fam in (Bernoulli(), Poisson(), GaussianLocation(1.0)):
             for n1 in (1, 2, 4, 5, 9, 50, 400):

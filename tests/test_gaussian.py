@@ -354,7 +354,7 @@ class TestTvNumeric:
     def test_monte_carlo_holds_one_buffer(self, m):
         # the two sides take turns in one budget-sized buffer and their
         # moments are taken in place, where ndarray.var() would allocate a
-        # second one; the block scratch adds 5-8%
+        # second one; the block draws and scratch add 7-13%
         budget = 1_000_000
         p = GaussianShift(np.zeros(m), 2.0 * np.eye(m))
         q = GaussianShift(np.full(m, 0.5), np.eye(m))
