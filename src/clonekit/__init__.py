@@ -18,6 +18,7 @@ from .cloner import (
     MinimaxProbeReport,
     clone,
     clone_loss_discrete,
+    clone_loss_exact,
     estimate_theta,
     local_minimax_probe,
 )

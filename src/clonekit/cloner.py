@@ -15,24 +15,42 @@ Pipeline, given n i.i.d. draws from an unknown member of a smooth family:
 
 Output and target share the conditional law given the statistic, so for the
 discrete families the sequence-level L1 distance to the true rn-fold product
-equals the distance between the statistic laws.  `clone_loss_discrete`
-measures it at the statistic level: stage 1 reads only the sum S1 of the n1
-estimation draws and stages 2-3 only the sum S2 of the n2 scoring draws, so
-each replicate is drawn as (S1, S2, Z) from the statistic laws and the
-smoothing noise, all replicates at once, and the output count law averages
-their Rao-Blackwellized rounding pmfs.  `clone`, which materializes the
-output, and the statistic-level loss share one target formula
-(`smoothed_score`), evaluated on one replicate's floats or on arrays of
-replicates.  The loss then runs in three named stages: `_rounding_atoms`
-(each replicate's two-atom rounding pmf), `mixture_pmf` (their average, the
-output count law) and `pmf_l1` (its distance to the exact target law).  As n
-grows (at fixed delta and epsilon) the loss approaches the Gaussian amplifier
-constant at gain ratio ``r / (1 - delta)``.
+equals the distance between the statistic laws.  `clone`, which
+materializes the output, and the statistic-level losses share one target
+formula (`smoothed_score`), evaluated on one replicate's floats or on
+arrays of them.
+
+The estimate cancels from that target: ``rn mean(theta_hat) + (rn / n2)
+(S2 - n2 mean(theta_hat))`` is ``(rn / n2) S2``, so the target is ``(rn /
+n2) S2 + rn sqrt(epsilon / n2) Z`` whatever ``theta_hat`` is, and no
+resampler reads theta.  For the built-in families the pipeline therefore
+checks the central limit behaviour of a scaled S2 plus smoothing, not the
+local estimation the general reduction needs; ``delta`` acts only through
+the gain ``rn / n2``.
+
+The output count law has two routes:
+
+- `clone_loss_exact` computes it with no sampling.  By the cancellation it
+  is a one-dimensional sum over the exact law of S2 of the smoothed rounding
+  weights ``E[tent(T - k)]``, in closed form (`_count_law`).
+- `clone_loss_discrete` estimates it by Monte Carlo and is the reference
+  that the exact route is tested against.  Stage 1 reads only the sum S1 of
+  the n1 estimation draws and stages 2-3 only the sum S2 of the n2 scoring
+  draws, so each replicate is drawn as (S1, S2, Z) from the statistic laws
+  and the smoothing noise, all replicates at once.  It runs in three named
+  stages: `_rounding_atoms` (each replicate's Rao-Blackwellized two-atom
+  rounding pmf), `mixture_pmf` (their average, the output count law) and
+  `pmf_l1` (its distance to the exact target law), with a bootstrap CI.
+
+As n grows (at fixed delta and epsilon) the loss approaches the Gaussian
+amplifier constant at gain ratio ``rn / n2 (1 + epsilon J)``, close to the
+``r / (1 - delta)`` of the acceptance gate.
 
 The loss reports hold only what the call computed: `CloneLossReport` the
-loss, its bootstrap CI and the clip rate, and `MinimaxProbeReport` one such
-report per shift in the caller's grid order and their supremum.  Sample
-sizes, replicate counts and the shift grid stay with the caller.
+loss, its CI (bootstrap, or the exact value twice) and the clip rate, and
+`MinimaxProbeReport` one such report per shift in the caller's grid order
+and their supremum.  Sample sizes, replicate counts and the shift grid stay
+with the caller.
 """
 
 from __future__ import annotations
@@ -44,14 +62,30 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.special import ndtr
 
 from .errors import ConfigurationError
 from .families import Family
+from .lawdist import EmpiricalLaw
 from .streams import stream
 
 logger = logging.getLogger(__name__)
 
 _CLIP_ALARM = 0.05
+
+# replicates (and bootstrap resamples) per Monte Carlo call: a replicate
+# holds about 100 bytes of arrays, so the cap keeps a call near 1 GB
+_REPS_CAP = 10**7
+_BOOTSTRAP_CAP = 10**6
+
+# the exact route bands each statistic value to this many standard
+# deviations of the smoothing noise (the normal tail beyond is below 1e-32),
+# drops statistic mass below `_MASS_FLOOR`, and assembles the law in blocks
+# of about `_BLOCK_CELLS` (row, cell) weights
+_BAND_SD = 12.0
+_MASS_FLOOR = 1e-17
+_BLOCK_CELLS = 1 << 14
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -280,7 +314,17 @@ def clone_loss_discrete(
     label: str = "",
     theta_hat: float | None = None,
 ) -> CloneLossReport:
-    """Exact-count-law L1 loss of the cloner, Rao-Blackwellized over rounding.
+    """Monte Carlo L1 loss of the cloner, Rao-Blackwellized over rounding.
+
+    The reference route: `clone_loss_exact` gives the same loss with no
+    sampling, and is tested against this one.  The L1 of a plug-in mixture
+    is biased upward, more so at large n where the law spreads over more
+    cells.  Over 40 seeds at 20 000 replicates and criterion 4's configs
+    (r = 2, delta = 0.05, epsilon = 0.01), the mean bias was -0.0005,
+    +0.0027 and +0.0031 for Bernoulli theta = 0.3 at n = 100, 400 and 1600,
+    and +0.0020, +0.0052 and +0.0086 for Poisson theta = 2; the percentile
+    interval held the exact loss in as few as 10 of 40 runs (Poisson,
+    n = 1600).
 
     Each replicate draws S1 ~ law of S over n1 draws, S2 ~ law of S over n2
     draws and, for epsilon > 0, Z ~ N(0, 1), all replicates of the call at
@@ -296,22 +340,14 @@ def clone_loss_discrete(
     ``theta_hat`` freezes the estimation stage as in `clone`: no S1 is
     drawn and S2 sums all n draws.
     """
-    if not family.discrete:
-        raise ConfigurationError(f"count-law loss needs a discrete family, got {family.name}")
-    if reps < 2:
-        raise ConfigurationError("reps must be at least 2")
-    if bootstrap != 0 and bootstrap < 2:
-        raise ConfigurationError(
-            f"bootstrap must be 0 (no interval) or at least 2, got {bootstrap}"
-        )
+    _require_discrete(family)
+    check_replicates(reps, bootstrap)
     family.require_in_domain(theta)
+    target_law = family.stat_pmf(theta, cfg.rn)  # refuses an oversized law before any draw
     atoms, weights, clipped = _replicate_atoms(family, theta, cfg, reps, label, theta_hat)
-
-    target_law = family.stat_pmf(theta, cfg.rn)
     lo_k = int(min(atoms.min(), target_law.support.min()))
     hi_k = int(max(atoms.max(), target_law.support.max()))
-    target_vec = np.zeros(hi_k - lo_k + 1)
-    target_vec[target_law.support - lo_k] = target_law.mass
+    target_vec = _on_cells(target_law, lo_k, hi_k)
     index = (atoms - lo_k).ravel()
     loss = pmf_l1(mixture_pmf(index, weights.ravel(), target_vec.size, reps), target_vec)
 
@@ -319,15 +355,151 @@ def clone_loss_discrete(
         index, weights, target_vec, reps, bootstrap,
         stream(cfg.seed, "clone-loss-boot", family.name, label),
     )
-    clip_rate = float(clipped.mean())
+    return _loss_report("clone_loss_discrete", loss, ci_low, ci_high,
+                        float(clipped.mean()))
+
+
+def check_replicates(reps: int, bootstrap: int = 0) -> None:
+    """Refuse a replicate or resample count outside what the Monte Carlo route runs.
+
+    Checked before anything is drawn or allocated; the CLI checks its keys
+    here under either loss route, so a key that one route ignores is still
+    a valid value.
+    """
+    if reps < 2:
+        raise ConfigurationError(f"reps must be at least 2, got {reps}")
+    if reps > _REPS_CAP:
+        raise ConfigurationError(f"reps {reps} is over the cap of {_REPS_CAP} replicates")
+    if bootstrap != 0 and bootstrap < 2:
+        raise ConfigurationError(
+            f"bootstrap must be 0 (no interval) or at least 2, got {bootstrap}"
+        )
+    if bootstrap > _BOOTSTRAP_CAP:
+        raise ConfigurationError(
+            f"bootstrap {bootstrap} is over the cap of {_BOOTSTRAP_CAP} resamples"
+        )
+
+
+def _require_discrete(family: Family) -> None:
+    if not family.discrete:
+        raise ConfigurationError(f"count-law loss needs a discrete family, got {family.name}")
+
+
+def _on_cells(law, lo_k: int, hi_k: int) -> np.ndarray:
+    """``law`` as a pmf vector on the cells ``lo_k .. hi_k``."""
+    vec = np.zeros(hi_k - lo_k + 1)
+    vec[law.support - lo_k] = law.mass
+    return vec
+
+
+def _loss_report(route: str, loss: float, ci_low: float, ci_high: float,
+                 clip_rate: float) -> CloneLossReport:
     if clip_rate > _CLIP_ALARM:
         logger.warning(
-            "clone_loss_discrete: clip rate %.2f%% above alarm threshold",
-            100.0 * clip_rate,
+            "%s: clip rate %.2f%% above alarm threshold", route, 100.0 * clip_rate
         )
     return CloneLossReport(
         loss=loss, ci_low=ci_low, ci_high=ci_high, clip_rate=clip_rate
     )
+
+
+def clone_loss_exact(
+    family: Family,
+    theta: float,
+    cfg: ClonerConfig,
+    theta_hat: float | None = None,
+) -> CloneLossReport:
+    """The loss of `clone_loss_discrete` from the exact output count law.
+
+    No sampling: the law is `_count_law`, so the value is exact up to the
+    truncation that function states, and ``ci_low = ci_high = loss``.  The
+    clip rate is the exact chance that the real target falls outside
+    `Family.stat_bounds`, the quantity whose replicate fraction the Monte
+    Carlo route reports.  ``theta_hat`` freezes the estimate as in `clone`.
+    """
+    _require_discrete(family)
+    if theta_hat is not None:
+        family.require_in_domain(theta_hat)
+    law, clip_rate = _count_law(family, theta, cfg, theta_hat)
+    target_law = family.stat_pmf(theta, cfg.rn)
+    lo = int(min(law.support[0], target_law.support[0]))
+    hi = int(max(law.support[-1], target_law.support[-1]))
+    loss = pmf_l1(_on_cells(law, lo, hi), _on_cells(target_law, lo, hi))
+    return _loss_report("clone_loss_exact", loss, loss, loss, clip_rate)
+
+
+def _count_law(family: Family, theta: float, cfg: ClonerConfig,
+               theta_hat: float | None = None) -> tuple[EmpiricalLaw, float]:
+    """Exact law of the output count, on consecutive cells, and the clip rate.
+
+    The statistic target does not depend on the estimate (the module
+    docstring), so it is ``T = c(S2) + sd Z`` with ``c`` the target of
+    `smoothed_score` at ``z = 0`` and ``sd = rn sqrt(epsilon / n2)``, and the
+    rounded count has ``P(K = k) = sum_s P(S2 = s) E[tent(c(s) - k + sd Z)]``
+    (`_smoothed_tent`); at epsilon = 0 the weights are `_rounding_atoms`'.
+    Cells outside `Family.stat_bounds` fold into the end cells, as
+    `Family.round_stat` clips.  Truncation: statistic values of mass below
+    `_MASS_FLOOR` are dropped, and each value reaches `_BAND_SD` noise
+    standard deviations (plus one cell) to each side, so the law misses at
+    most the dropped mass plus 1e-32 per value.  The weights are built
+    ``_BLOCK_CELLS`` at a time, so memory does not grow with the band.
+    """
+    n2 = cfg.n2 if theta_hat is None else cfg.n
+    rn = cfg.rn
+    s_law = family.stat_pmf(theta, n2)
+    keep = s_law.mass >= _MASS_FLOOR
+    mass = s_law.mass[keep]
+    # the estimate cancels from the target, so the truth stands in for it
+    centre = smoothed_score(family, theta if theta_hat is None else theta_hat,
+                            n2, rn, cfg.epsilon, s_law.support[keep].astype(float),
+                            None)[2]
+    lo, hi = family.stat_bounds(rn)
+    if cfg.epsilon == 0.0:
+        atoms, weights, clipped = _rounding_atoms(family, rn, centre)
+        lo_k = int(atoms.min())
+        law = mixture_pmf((atoms - lo_k).ravel(), (weights * mass[:, None]).ravel(),
+                          int(atoms.max()) - lo_k + 1, 1)
+        return _from_cell(lo_k, law), float(mass[clipped].sum())
+
+    sd = rn * math.sqrt(cfg.epsilon / n2)
+    half = math.ceil(_BAND_SD * sd) + 1
+    width = 2 * half + 2
+    base = np.floor(centre).astype(np.int64) - half  # each row's first cell
+    lo_k = int(max(lo, base[0]))
+    hi_k = int(min(hi, base[-1] + width - 1))
+    law = np.zeros(hi_k - lo_k + 1)
+    offsets = np.arange(width)
+    rows = max(1, _BLOCK_CELLS // width)
+    for start in range(0, centre.size, rows):
+        block = slice(start, start + rows)
+        cells = base[block, None] + offsets
+        weights = _smoothed_tent(centre[block, None] - cells, sd)
+        index = np.clip(cells, lo, hi).astype(np.int64) - lo_k
+        law += mixture_pmf(index.ravel(), (weights * mass[block, None]).ravel(),
+                           law.size, 1)
+    outside = ndtr((lo - centre) / sd) + ndtr((centre - hi) / sd)
+    return _from_cell(lo_k, law), float(mass @ outside)
+
+
+def _from_cell(lo_k: int, pmf: np.ndarray) -> EmpiricalLaw:
+    return EmpiricalLaw(np.arange(lo_k, lo_k + pmf.size), pmf)
+
+
+def _smoothed_tent(x: np.ndarray, sd: float) -> np.ndarray:
+    """``E[tent(x + sd Z)]``, rows of offsets ``x`` one cell apart (decreasing).
+
+    The tent is the second difference of ``m^+``, so the weight is the
+    second difference of ``R(m) = E[(m + sd Z)^+] = m Phi(m/sd) + sd
+    phi(m/sd)``.  Split as ``R(m) = m^+ + R(-|m|)``, that is the tent itself
+    plus the second difference of the bounded ``R(-|m|)``, with no linear
+    part for rounding to cancel.  Each row shares its ``R`` values between
+    neighbouring cells.
+    """
+    edges = np.concatenate((x[:, :1] + 1.0, x, x[:, -1:] - 1.0), axis=1)
+    m = -np.abs(edges) / sd
+    tail = sd * (m * ndtr(m) + _INV_SQRT_2PI * np.exp(-0.5 * m * m))
+    tent = np.maximum(1.0 - np.abs(x), 0.0)
+    return tent + tail[:, :-2] - 2.0 * tail[:, 1:-1] + tail[:, 2:]
 
 
 def mixture_pmf(index, weights, cells: int, reps: int) -> np.ndarray:
@@ -375,12 +547,15 @@ def local_minimax_probe(
     a: float,
     h_grid,
     cfg: ClonerConfig,
-    reps: int,
+    reps: int | None = None,
 ) -> MinimaxProbeReport:
     """Loss at every parameter ``theta + h / sqrt(n)`` with |h| <= a, and the sup.
 
-    The supremum over a grid can only grow when the grid grows, matching the
-    monotone bounded-shift behaviour of the limit experiment.
+    ``reps = None`` takes each loss from `clone_loss_exact`; a replicate
+    count takes it from `clone_loss_discrete`, on the stream labelled by
+    the shift's grid index.  The supremum over a grid can only grow when
+    the grid grows, matching the monotone bounded-shift behaviour of the
+    limit experiment.
     """
     if not a >= 0:
         raise ConfigurationError(f"neighbourhood radius a must be nonnegative, got {a}")
@@ -394,7 +569,8 @@ def local_minimax_probe(
         shifted = theta + h / math.sqrt(cfg.n)
         family.require_in_domain(shifted)
         reports.append(
-            clone_loss_discrete(family, shifted, cfg, reps, label=f"h{i}")
+            clone_loss_exact(family, shifted, cfg) if reps is None
+            else clone_loss_discrete(family, shifted, cfg, reps, label=f"h{i}")
         )
     return MinimaxProbeReport(
         losses=tuple(reports), sup_loss=max(rep.loss for rep in reports)

@@ -38,6 +38,10 @@ logger = logging.getLogger(__name__)
 
 _POISSON_TAIL = 1e-11
 
+# support cells of one `stat_pmf` law: a few float arrays of this length,
+# under half a GB at the cap, refused before any is allocated
+_STAT_CELLS_CAP = 10**7
+
 # picks per draw in `Poisson.conditional_resample`: 8 MiB of int64
 _PICKS_CHUNK = 1 << 20
 
@@ -162,6 +166,13 @@ class Family:
 
     # -- helpers -----------------------------------------------------------
 
+    def _require_cells(self, cells: int, n: int) -> None:
+        if cells > _STAT_CELLS_CAP:
+            raise ConfigurationError(
+                f"{self.name}: the statistic law for n={n} has {cells} cells, "
+                f"over the cap of {_STAT_CELLS_CAP}"
+            )
+
     def _require_count(self, target_stat, n: int) -> int:
         """``target_stat`` as an int, if it is an integer inside `stat_bounds(n)`."""
         lo, hi = self.stat_bounds(n)
@@ -246,6 +257,7 @@ class Bernoulli(Family):
 
     def stat_pmf(self, theta, n):
         self.require_in_domain(theta)
+        self._require_cells(n + 1, n)
         k = np.arange(n + 1)
         logp = (
             gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
@@ -307,6 +319,7 @@ class Poisson(Family):
         self.require_in_domain(theta)
         lam = n * theta
         hi = int(lam + 14.0 * math.sqrt(lam) + 30.0)
+        self._require_cells(hi + 1, n)
         k = np.arange(hi + 1)
         logp = k * math.log(lam) - lam - gammaln(k + 1.0)
         p = np.exp(logp)

@@ -36,6 +36,11 @@ from .streams import stream
 
 _Z95 = 1.959963984540054
 
+# replicates per sample size and coupling levels: each holds a few float
+# arrays of that length, so the caps keep a call under about half a GB
+_REPS_CAP = 10**7
+_RESOLUTION_CAP = 10**7
+
 
 @dataclass(frozen=True)
 class ExceedanceReport:
@@ -124,6 +129,8 @@ def lan_residual_rate(
     """
     if reps < 1:
         raise ConfigurationError(f"reps must be at least 1, got {reps}")
+    if reps > _REPS_CAP:
+        raise ConfigurationError(f"reps {reps} is over the cap of {_REPS_CAP} replicates")
     if not threshold >= 0:
         raise ConfigurationError(f"threshold must be nonnegative, got {threshold}")
     n_grid = _sample_sizes(n_grid)
@@ -208,6 +215,10 @@ def quantile_coupling(
         raise ConfigurationError(f"epsilon_dev must be positive, got {epsilon_dev}")
     if resolution < 3:
         raise ConfigurationError("resolution too small")
+    if resolution > _RESOLUTION_CAP:
+        raise ConfigurationError(
+            f"resolution {resolution} is over the cap of {_RESOLUTION_CAP} levels"
+        )
     n_grid = _sample_sizes(n_grid)
     j = family.fisher(theta)
     levels = (np.arange(resolution) + 0.5) / resolution

@@ -3,9 +3,12 @@
 import copy
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import chdtrc
 
 from clonekit import (
     Bernoulli,
@@ -16,6 +19,7 @@ from clonekit import (
     Poisson,
     clone,
     clone_loss_discrete,
+    clone_loss_exact,
     estimate_theta,
     local_minimax_probe,
     score_process,
@@ -24,9 +28,12 @@ from clonekit import (
 )
 from clonekit import cloner
 from clonekit.cloner import (
+    _count_law,
     _replicate_atoms,
     _rounding_atoms,
+    _smoothed_tent,
     _stat_targets,
+    mixture_pmf,
     smoothed_score,
 )
 
@@ -522,6 +529,165 @@ class TestBootstrapMatchesPerResampleLoop:
         )
 
 
+class TestTargetIgnoresEstimate:
+    """The statistic target of `smoothed_score` does not depend on the estimate.
+
+    ``rn mean(theta_hat) + (rn / n2) (S2 - n2 mean(theta_hat))`` cancels to
+    ``(rn / n2) S2``, which is what makes the exact count law a sum over
+    the law of S2 alone.
+    """
+
+    @pytest.mark.parametrize("family,theta,estimates", [
+        (Bernoulli(), 0.3, (0.02, 0.3, 0.5, 0.97)),
+        (Poisson(), 2.0, (0.1, 2.0, 7.5, 40.0)),
+        (GaussianLocation(1.3), 0.4, (-3.0, 0.0, 0.4, 5.0)),
+    ], ids=lambda v: getattr(v, "name", ""))
+    def test_target_is_the_same_for_every_estimate(self, family, theta, estimates):
+        n2, rn, eps = 1520, 3200, 0.01
+        rng = stream(40, "target-ignores-estimate", family.name)
+        s2 = family.sample_stat(theta, n2, 500, rng).astype(float)
+        z = rng.standard_normal(500)
+        free = rn / n2 * s2 + rn * math.sqrt(eps / n2) * z
+        for that in estimates:
+            target = smoothed_score(family, that, n2, rn, eps, s2, z)[2]
+            np.testing.assert_allclose(target, free, rtol=1e-11, atol=0.0)
+
+
+def _law_on(law, cells):
+    """The pmf of ``law``, whose support is consecutive, read on the integer ``cells``."""
+    lo_k = law.support[0]
+    out = np.zeros(len(cells))
+    inside = (cells >= lo_k) & (cells <= law.support[-1])
+    out[inside] = law.mass[cells[inside] - lo_k]
+    return out
+
+
+def _pearson_pvalue(counts, expected):
+    """Pearson chi-square p-value, cells expecting fewer than 5 pooled into one."""
+    keep = expected >= 5.0
+    stat = float(np.sum((counts[keep] - expected[keep]) ** 2 / expected[keep])
+                 + (counts[~keep].sum() - expected[~keep].sum()) ** 2
+                 / max(expected[~keep].sum(), 1e-9))
+    return float(chdtrc(int(keep.sum()), stat))
+
+
+class TestExactCountLaw:
+    """`_count_law` and `clone_loss_exact` against independent references."""
+
+    @pytest.mark.parametrize("family,theta", [(Bernoulli(), 0.3), (Poisson(), 0.7)],
+                             ids=["bernoulli", "poisson"])
+    def test_epsilon_zero_law_is_the_tent_enumeration(self, family, theta):
+        # rn / n2 = 5 / 3: every third S2 value lands on an integer target
+        cfg = ClonerConfig(n=30, r=1.5, delta=0.1, epsilon=0.0, seed=1)
+        assert (cfg.rn, cfg.n2) == (45, 27)
+        law, clip_rate = _count_law(family, theta, cfg)
+        s_law = family.stat_pmf(theta, cfg.n2)
+        expected = {}
+        for s, p in zip(s_law.support.tolist(), s_law.mass.tolist()):
+            t = Fraction(cfg.rn * s, cfg.n2)
+            for k in range(math.floor(t), math.floor(t) + 2):
+                expected[k] = expected.get(k, 0.0) + p * float(max(0, 1 - abs(t - k)))
+        cells = np.arange(min(law.support[0], min(expected)),
+                          max(law.support[-1], max(expected)) + 1)
+        reference = np.array([expected.get(k, 0.0) for k in cells.tolist()])
+        np.testing.assert_allclose(_law_on(law, cells), reference, rtol=0, atol=1e-15)
+        assert clip_rate == 0.0
+
+    @pytest.mark.parametrize("family,theta,n", [
+        (Bernoulli(), 0.3, 20), (Bernoulli(), 0.3, 400), (Poisson(), 2.0, 50),
+        (Poisson(), 2.0, 400),
+    ])
+    def test_fixed_point_loss_is_zero(self, family, theta, n):
+        # criterion 6's fixed point: frozen estimate, r = 1, epsilon = 0
+        cfg = ClonerConfig(n=n, r=1.0, delta=0.05, epsilon=0.0, seed=1)
+        rep = clone_loss_exact(family, theta, cfg, theta_hat=theta)
+        assert rep.loss < 1e-15
+        assert rep.ci_low == rep.loss == rep.ci_high and rep.clip_rate == 0.0
+
+    @pytest.mark.parametrize("sd", [0.05, 0.7, 8.2, 40.0])
+    def test_cell_weights_match_quadrature(self, sd):
+        centre = 3.37
+        cells = np.arange(-4, 12)
+        x = centre - cells
+        weights = _smoothed_tent(x[None, :], sd)[0]
+
+        def smoothed(x):  # integral of tent(u) times the density of x + sd Z at u
+            def integrand(u):
+                return (1.0 - abs(u)) * math.exp(-0.5 * ((u - x) / sd) ** 2) / (
+                    sd * math.sqrt(2.0 * math.pi))
+            kinks = sorted({-1.0, 0.0, 1.0, min(max(x, -1.0), 1.0)})
+            return sum(quad(integrand, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+                       for a, b in zip(kinks, kinks[1:]))
+
+        reference = np.array([smoothed(v) for v in x])
+        np.testing.assert_allclose(weights, reference, rtol=0, atol=1e-12)
+
+    # the gate's split and smoothing, estimate included; then a smoothing
+    # that dominates the spread of the target, so an error in it shows
+    @pytest.mark.parametrize("epsilon", [0.01, 0.5])
+    @pytest.mark.parametrize("family,theta", [(Bernoulli(), 0.3), (Poisson(), 2.0)],
+                             ids=["bernoulli", "poisson"])
+    def test_law_agrees_with_the_monte_carlo_mixture(self, family, theta, epsilon):
+        # A replicate puts weight w_k in [0, 1] on cell k with E w_k = p_k, so
+        # Var w_k <= p_k (1 - p_k): each cell of the Rao-Blackwellized
+        # mixture varies at most as a multinomial cell does, and the Pearson
+        # statistic has mean at most its cell count.  A p-value floor of 1e-6
+        # on a chi-square with that many degrees of freedom is then a bound
+        # that a correct law misses with probability of order 1e-6.
+        cfg = ClonerConfig(n=100, r=2.0, delta=0.05, epsilon=epsilon, seed=41)
+        reps = 400_000
+        atoms, weights, _ = _replicate_atoms(family, theta, cfg, reps)
+        law, _ = _count_law(family, theta, cfg)
+        first = min(law.support[0], atoms.min())
+        size = max(law.support[-1], atoms.max()) + 1 - first
+        mc = mixture_pmf((atoms - first).ravel(), weights.ravel(), size, reps)
+        exact = _law_on(law, np.arange(first, first + size))
+        assert _pearson_pvalue(mc * reps, exact * reps) > 1e-6
+
+    @pytest.mark.parametrize("family,theta", [(Bernoulli(), 0.4), (Poisson(), 1.5)],
+                             ids=["bernoulli", "poisson"])
+    def test_law_agrees_with_materialized_clones(self, family, theta):
+        # output counts of `clone` itself, estimation stage included
+        cfg = ClonerConfig(n=12, r=2.0, delta=0.25, epsilon=0.05, seed=42)
+        calls = 10_000
+        rng = stream(cfg.seed, "exact-vs-clone", family.name)
+        counts = np.array([
+            clone(family, family.sample(theta, cfg.n, rng), cfg, rng).output.sum()
+            for _ in range(calls)
+        ])
+        law, _ = _count_law(family, theta, cfg)
+        cells = np.arange(min(law.support[0], counts.min()),
+                          max(law.support[-1], counts.max()) + 1)
+        observed = np.bincount(counts - cells[0], minlength=cells.size).astype(float)
+        assert _pearson_pvalue(observed, _law_on(law, cells) * calls) > 1e-6
+
+    # (theta, cfg, frozen estimate): targets pushed past both ends by the noise
+    @pytest.mark.parametrize("family", [Bernoulli(), Poisson()], ids=lambda f: f.name)
+    @pytest.mark.parametrize("theta,cfg,frozen", [
+        (0.5, ClonerConfig(n=2, r=1.0, delta=0.5, epsilon=5.0, seed=43), True),
+        (0.5, ClonerConfig(n=3, r=2.0, delta=0.4, epsilon=5.0, seed=44), False),
+    ])
+    def test_clip_rate_agrees_with_monte_carlo(self, family, theta, cfg, frozen):
+        that = theta if frozen else None
+        exact = clone_loss_exact(family, theta, cfg, theta_hat=that).clip_rate
+        reps = 20_000
+        mc = clone_loss_discrete(family, theta, cfg, reps=reps, bootstrap=0,
+                                 theta_hat=that).clip_rate
+        assert exact > 0.05
+        assert abs(mc - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / reps)
+
+    def test_clip_alarm_logged(self, caplog):
+        cfg = ClonerConfig(n=2, r=1.0, delta=0.5, epsilon=5.0, seed=21)
+        with caplog.at_level("WARNING", logger="clonekit.cloner"):
+            clone_loss_exact(Bernoulli(), 0.5, cfg, theta_hat=0.5)
+        assert "clone_loss_exact: clip rate" in caplog.text
+
+    def test_continuous_family_rejected(self):
+        cfg = ClonerConfig(n=16, r=1.0, delta=0.1, epsilon=0.0, seed=13)
+        with pytest.raises(ConfigurationError, match="discrete family"):
+            clone_loss_exact(GaussianLocation(1.0), 0.0, cfg)
+
+
 class TestMinimaxProbe:
     def test_single_point_grid_matches_direct_loss(self):
         cfg = ClonerConfig(n=64, r=2.0, delta=0.1, epsilon=0.01, seed=15)
@@ -537,6 +703,13 @@ class TestMinimaxProbe:
         center = probe.losses[1].loss
         assert probe.sup_loss >= center
         assert len(probe.losses) == 3
+
+    def test_without_reps_each_loss_is_exact(self):
+        cfg = ClonerConfig(n=64, r=2.0, delta=0.1, epsilon=0.01, seed=15)
+        probe = local_minimax_probe(Bernoulli(), 0.3, 1.0, [-1.0, 0.0, 1.0], cfg)
+        assert probe.losses == tuple(
+            clone_loss_exact(Bernoulli(), 0.3 + h / 8.0, cfg) for h in (-1.0, 0.0, 1.0)
+        )
 
     def test_out_of_range_grid(self):
         cfg = ClonerConfig(n=64, r=2.0, delta=0.1, epsilon=0.01, seed=17)
