@@ -65,18 +65,9 @@ def _boolean(text: str) -> bool:
     return states[text.lower()]
 
 
-def _choice(*options: str):
-    def parse(text: str) -> str:
-        if text not in options:
-            raise ValueError(f"choose from {', '.join(options)}")
-        return text
-    return parse
-
-
 # experiment -> key -> (default text, parser); reports echo the text
 _FAMILY = {"family": ("bernoulli", str), "family_sigma": ("1.0", _real)}
 _PIPELINE = {"r": ("2.0", _real), "delta": ("0.05", _real), "epsilon": ("0.01", _real)}
-_LOSS_METHOD = {"method": ("exact", _choice("exact", "monte_carlo"))}
 _KEYS: dict[str, dict[str, tuple]] = {
     "tv": {
         "r": ("2.0", _real), "m": ("1", int),
@@ -95,12 +86,11 @@ _KEYS: dict[str, dict[str, tuple]] = {
     "clone-sim": {
         **_FAMILY, "theta": ("0.3", _real), **_PIPELINE, "reps": ("1000", int),
         "n_grid": ("100, 400, 1600", _list(int)), "bootstrap": ("200", int),
-        **_LOSS_METHOD,
     },
     "minimax-probe": {
         **_FAMILY, "theta": ("0.3", _real), **_PIPELINE, "a": ("2.0", _real),
         "h_grid": ("-2, -1, 0, 1, 2", _list(_real)), "n": ("400", int),
-        "reps": ("1000", int), **_LOSS_METHOD,
+        "reps": ("1000", int),
     },
     "lan-diag": {
         **_FAMILY, "theta": ("0.5", _real), "h": ("1.0", _real), "reps": ("1000", int),
@@ -274,17 +264,14 @@ def _run_deficiency(cfg: ExperimentConfig):
 
 def _run_clone_sim(cfg: ExperimentConfig):
     v = cfg.values
-    cloner.check_replicates(v["reps"], v["bootstrap"])  # under either method
+    # reps and bootstrap are checked but unused: the exact route draws no
+    # replicates, and the reps column echoes the key
+    cloner.check_replicates(v["reps"], v["bootstrap"])
     family = _family_from(v)
     rows = []
     for n in v["n_grid"]:
         run_cfg = _cloner_config(v, n, cfg.seed)
-        if v["method"] == "exact":
-            rep = cloner.clone_loss_exact(family, v["theta"], run_cfg)
-        else:
-            rep = cloner.clone_loss_discrete(
-                family, v["theta"], run_cfg, v["reps"], bootstrap=v["bootstrap"],
-            )
+        rep = cloner.clone_loss_exact(family, v["theta"], run_cfg)
         rows.append({
             "family": family.name, "theta": v["theta"], "n": n, "rn": run_cfg.rn,
             "loss": rep.loss, "ci_low": rep.ci_low, "ci_high": rep.ci_high,
@@ -296,11 +283,10 @@ def _run_clone_sim(cfg: ExperimentConfig):
 
 def _run_minimax_probe(cfg: ExperimentConfig):
     v = cfg.values
-    cloner.check_replicates(v["reps"])  # under either method
+    cloner.check_replicates(v["reps"])  # checked but unused, as in clone-sim
     run_cfg = _cloner_config(v, v["n"], cfg.seed)
     report = cloner.local_minimax_probe(
         _family_from(v), v["theta"], v["a"], v["h_grid"], run_cfg,
-        None if v["method"] == "exact" else v["reps"],
     )
     rows = [
         {

@@ -73,8 +73,9 @@ logger = logging.getLogger(__name__)
 
 _CLIP_ALARM = 0.05
 
-# replicates (and bootstrap resamples) per Monte Carlo call: a replicate
-# holds about 100 bytes of arrays, so the cap keeps a call near 1 GB
+# replicates (and bootstrap resamples) per Monte Carlo call, here and in
+# `lan`: a replicate holds about 100 bytes of arrays, so the cap keeps a
+# call near 1 GB
 _REPS_CAP = 10**7
 _BOOTSTRAP_CAP = 10**6
 
@@ -359,15 +360,17 @@ def clone_loss_discrete(
                         float(clipped.mean()))
 
 
-def check_replicates(reps: int, bootstrap: int = 0) -> None:
-    """Refuse a replicate or resample count outside what the Monte Carlo route runs.
+def check_replicates(reps: int, bootstrap: int = 0, least: int = 2) -> None:
+    """Refuse a replicate or resample count outside what a Monte Carlo call runs.
 
-    Checked before anything is drawn or allocated; the CLI checks its keys
-    here under either loss route, so a key that one route ignores is still
-    a valid value.
+    Checked before anything is drawn or allocated.  ``least`` is the
+    fewest replicates the caller can use; the cap holds for every Monte
+    Carlo replicate count (`clonekit.lan.lan_residual_rate` checks here
+    too).  The CLI checks the clone-sim and minimax-probe keys here,
+    although their exact route draws nothing.
     """
-    if reps < 2:
-        raise ConfigurationError(f"reps must be at least 2, got {reps}")
+    if reps < least:
+        raise ConfigurationError(f"reps must be at least {least}, got {reps}")
     if reps > _REPS_CAP:
         raise ConfigurationError(f"reps {reps} is over the cap of {_REPS_CAP} replicates")
     if bootstrap != 0 and bootstrap < 2:

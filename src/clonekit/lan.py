@@ -30,15 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from .cloner import check_replicates
 from .errors import ConfigurationError
 from .families import Family
 from .streams import stream
 
 _Z95 = 1.959963984540054
 
-# replicates per sample size and coupling levels: each holds a few float
-# arrays of that length, so the caps keep a call under about half a GB
-_REPS_CAP = 10**7
+# coupling levels: each holds a few float arrays of that length, so the cap
+# keeps a call under about half a GB
 _RESOLUTION_CAP = 10**7
 
 
@@ -127,10 +127,7 @@ def lan_residual_rate(
     The per-n trend is reported, not enforced: single runs can wiggle, the
     monotone decrease is asserted by the calling tests at their chosen reps.
     """
-    if reps < 1:
-        raise ConfigurationError(f"reps must be at least 1, got {reps}")
-    if reps > _REPS_CAP:
-        raise ConfigurationError(f"reps {reps} is over the cap of {_REPS_CAP} replicates")
+    check_replicates(reps, least=1)
     if not threshold >= 0:
         raise ConfigurationError(f"threshold must be nonnegative, got {threshold}")
     n_grid = _sample_sizes(n_grid)

@@ -79,7 +79,6 @@ grid_count = 81
 n_grid = 64
 reps = 50
 bootstrap = 10
-method = monte_carlo
 [minimax-probe]
 n = 64
 reps = 20
@@ -116,8 +115,6 @@ def test_traced_runs_succeed_and_counters_are_finite(tmp_path):
     assert codes == dict.fromkeys(clonekit.cli.EXPERIMENTS, 0)
     counts = tracer.counts()
     assert "cloner.clipped" in counts
-    # clone-sim's Monte Carlo route: 50 replicates at one n (minimax-probe is exact)
-    assert counts["cloner.replicates"] == 50
     # tv at budget 1000 and amp-loss at two shifts, two sides each: the
     # hook reads the budget as the third positional argument
     assert counts["gaussian.mc_samples"] == 6000

@@ -237,20 +237,16 @@ class TestEmitReport:
 # size keys past their caps: each exits 2 before its arrays are allocated
 _OVERSIZED = [
     ("clone-sim", "reps = 100000000000", "reps 100000000000 is over the cap"),
-    ("clone-sim", "method = monte_carlo\nreps = 100000000000",
-     "reps 100000000000 is over the cap"),
     ("clone-sim", "bootstrap = 100000000000", "bootstrap 100000000000 is over the cap"),
     ("minimax-probe", "reps = 100000000000", "reps 100000000000 is over the cap"),
     ("lan-diag", "reps = 100000000000", "reps 100000000000 is over the cap"),
     ("coupling", "resolution = 100000000000", "resolution 100000000000 is over the cap"),
     ("clone-sim", "n_grid = 100000000000", "cells, over the cap"),
-    ("clone-sim", "method = monte_carlo\nn_grid = 100000000000", "cells, over the cap"),
     ("coupling", "n_grid = 100000000000", "cells, over the cap"),
 ]
 _OVERSIZED_IDS = [
-    "clone-sim-reps", "clone-sim-mc-reps", "clone-sim-bootstrap", "minimax-probe-reps",
-    "lan-diag-reps", "coupling-resolution", "clone-sim-n", "clone-sim-mc-n",
-    "coupling-n",
+    "clone-sim-reps", "clone-sim-bootstrap", "minimax-probe-reps", "lan-diag-reps",
+    "coupling-resolution", "clone-sim-n", "coupling-n",
 ]
 
 
@@ -298,7 +294,6 @@ class TestInvalidInput:
          "budget 100000000000 is over the cap"),
         ("amp-loss", "method = monte_carlo\nbudget = 100000000000",
          "budget 100000000000 is over the cap"),
-        ("clone-sim", "method = bootstrap", "choose from exact, monte_carlo"),
     ], ids=[
         "lan-diag-n0", "coupling-n0", "amp-loss-closed-form-r1",
         "amp-loss-closed-form-r2", "tv-mc-budget0", "tv-mc-budget-neg",
@@ -313,7 +308,6 @@ class TestInvalidInput:
         "deficiency-row-cap", "deficiency-row-cap-of-a-later-a",
         "deficiency-shift-list-cap", "clone-sim-bootstrap-neg", "clone-sim-bootstrap1",
         "tv-mc-budget-over-cap", "amp-loss-mc-budget-over-cap",
-        "clone-sim-unknown-method",
     ])
     def test_exits_2_without_report(
         self, tmp_path, capsys, monkeypatch, experiment, section, says
@@ -401,13 +395,11 @@ class TestOtherExperiments:
         body = out.read_text()
         assert "loss" in body and "reference" in body
 
-    @pytest.mark.parametrize("method", ["exact", "monte_carlo"])
-    def test_loss_method_reaches_its_route(self, tmp_path, method):
+    def test_loss_experiments_take_the_exact_route(self, tmp_path):
         ini = tmp_path / "cfg.ini"
         ini.write_text(
-            f"[clone-sim]\nn_grid = 100\nreps = 300\nbootstrap = 20\nmethod = {method}\n"
-            f"[minimax-probe]\nn = 64\nreps = 40\nh_grid = -1, 1\na = 1\n"
-            f"method = {method}\n"
+            "[clone-sim]\nn_grid = 100\nreps = 300\nbootstrap = 20\n"
+            "[minimax-probe]\nn = 64\nreps = 40\nh_grid = -1, 1\na = 1\n"
         )
         family = clonekit.Bernoulli()
         rows = {}
@@ -415,9 +407,7 @@ class TestOtherExperiments:
             out = tmp_path / f"{experiment}.csv"
             assert run_cli([experiment, "--config", str(ini), "--seed", "4",
                             "--out", str(out)]) == 0
-            text = out.read_text()
-            assert f"# config method = {method}\n" in text
-            body = [ln for ln in text.splitlines() if not ln.startswith("#")]
+            body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
             rows[experiment] = [dict(zip(body[0].split(","), ln.split(",")))
                                 for ln in body[1:]]
 
@@ -425,17 +415,11 @@ class TestOtherExperiments:
             return clonekit.ClonerConfig(n=n, r=2.0, delta=0.05, epsilon=0.01, seed=4)
 
         (row,) = rows["clone-sim"]
-        probe_h = [-1.0, 1.0]
-        if method == "exact":
-            rep = clonekit.clone_loss_exact(family, 0.3, config(100))
-            probe = clonekit.local_minimax_probe(family, 0.3, 1.0, probe_h, config(64))
-        else:
-            rep = clonekit.clone_loss_discrete(family, 0.3, config(100), 300, bootstrap=20)
-            probe = clonekit.local_minimax_probe(family, 0.3, 1.0, probe_h, config(64),
-                                                 reps=40)
+        rep = clonekit.clone_loss_exact(family, 0.3, config(100))
+        probe = clonekit.local_minimax_probe(family, 0.3, 1.0, [-1.0, 1.0], config(64))
         assert [float(row[c]) for c in ("loss", "ci_low", "ci_high", "clip_rate")] == [
             rep.loss, rep.ci_low, rep.ci_high, rep.clip_rate]
-        assert row["reps"] == "300"
+        assert row["reps"] == "300"  # the key's echo: the exact route draws none
         assert [float(r["loss"]) for r in rows["minimax-probe"]] == [
             *(r.loss for r in probe.losses), probe.sup_loss]
         assert math.isnan(float(rows["minimax-probe"][-1]["ci_low"]))
