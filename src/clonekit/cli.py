@@ -194,22 +194,26 @@ def _run_tv(cfg: ExperimentConfig):
     v = cfg.values
     r, m = v["r"], v["m"]
     closed = gaussian.tv_isotropic(r, m)  # names a bad r or m before GaussianShift can
-    unit = gaussian.GaussianShift(np.zeros(m), np.eye(m))
-    scaled = gaussian.GaussianShift(np.zeros(m), r * np.eye(m))
+    numeric = [route for route in v["routes"] if route != "closed_form"]
+    for route in numeric:
+        if route not in ("quadrature", "monte_carlo"):
+            raise ConfigurationError(
+                f"unknown tv route {route!r}; "
+                "choose from closed_form, quadrature, monte_carlo"
+            )
+        gaussian.check_dimension(route, m)
+    if numeric:  # only the numeric routes need the m x m pair
+        unit = gaussian.GaussianShift(np.zeros(m), np.eye(m))
+        scaled = gaussian.GaussianShift(np.zeros(m), r * np.eye(m))
     rows = []
     for route in v["routes"]:
         if route == "closed_form":
             value, se = closed, 0.0
         elif route == "quadrature":
             value, se = gaussian.tv_quadrature(unit, scaled), 0.0
-        elif route == "monte_carlo":
+        else:
             value, se = gaussian.tv_monte_carlo(
                 unit, scaled, v["budget"], stream(cfg.seed, "tv", route)
-            )
-        else:
-            raise ConfigurationError(
-                f"unknown tv route {route!r}; "
-                "choose from closed_form, quadrature, monte_carlo"
             )
         rows.append({"r": r, "m": m, "method": route, "value": value, "std_error": se})
     return rows, True

@@ -34,13 +34,18 @@ The output count law has two routes:
   is a one-dimensional sum over the exact law of S2 of the smoothed rounding
   weights ``E[tent(T - k)]``, in closed form (`_count_law`).
 - `clone_loss_discrete` estimates it by Monte Carlo and is the reference
-  that the exact route is tested against.  Stage 1 reads only the sum S1 of
-  the n1 estimation draws and stages 2-3 only the sum S2 of the n2 scoring
-  draws, so each replicate is drawn as (S1, S2, Z) from the statistic laws
-  and the smoothing noise, all replicates at once.  It runs in three named
-  stages: `_rounding_atoms` (each replicate's Rao-Blackwellized two-atom
-  rounding pmf), `mixture_pmf` (their average, the output count law) and
-  `pmf_l1` (its distance to the exact target law), with a bootstrap CI.
+  that the exact route is tested against.  Stages 2-3 read only the sum S2
+  of the n2 scoring draws, and by the cancellation stage 1 changes nothing,
+  so each replicate is drawn as (S2, Z) from the statistic law and the
+  smoothing noise, all replicates at once, and scored at the truth.  It
+  runs in three named stages: `_rounding_atoms` (each replicate's
+  Rao-Blackwellized two-atom rounding pmf), `mixture_pmf` (their average,
+  the output count law) and `pmf_l1` (its distance to the exact target
+  law), with a bootstrap CI.
+
+In both routes ``theta_hat`` only picks ``n2 = n`` (the whole sample feeds
+the score stage) and is checked to lie in the domain.  `clone` keeps the
+estimate: it runs the pipeline as written, and its record reports it.
 
 As n grows (at fixed delta and epsilon) the loss approaches the Gaussian
 amplifier constant at gain ratio ``rn / n2 (1 + epsilon J)``, close to the
@@ -104,8 +109,10 @@ class ClonerConfig:
             raise ConfigurationError("n must be at least 2")
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError("delta must lie in (0, 1)")
-        if not self.epsilon >= 0.0:
-            raise ConfigurationError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ConfigurationError(
+                f"epsilon must be nonnegative and finite, got {self.epsilon}"
+            )
         if not 1.0 <= self.r < math.inf:
             raise ConfigurationError(f"clone ratio r must lie in [1, inf), got {self.r}")
         rn = self.r * self.n
@@ -142,22 +149,6 @@ class CloneRunRecord(NamedTuple):
     clipped: bool
 
 
-def _grid_estimate(family: Family, mean, n: int):
-    """The snap of `estimate_theta`, elementwise on sample means over n draws."""
-    mle = family.clip_theta(mean, n)
-    step = 1.0 / math.sqrt(n)
-    lo, hi = family.param_lo, family.param_hi
-    k_min = math.floor(lo / step) + 1 if math.isfinite(lo) else -math.inf
-    k_max = math.ceil(hi / step) - 1 if math.isfinite(hi) else math.inf
-    if k_min > k_max:
-        # no grid point is strictly interior (n = 1 on a bounded domain):
-        # keep the clipped estimate rather than leave the domain
-        return mle
-    # + 0.0 turns ceil's -0.0 into the integer grid index 0
-    k = np.ceil(mle / step - 0.5) + 0.0
-    return np.minimum(np.maximum(k, k_min), k_max) * step
-
-
 def estimate_theta(family: Family, data: np.ndarray) -> float:
     """Grid-snapped maximum likelihood estimate.
 
@@ -175,7 +166,18 @@ def estimate_theta(family: Family, data: np.ndarray) -> float:
     mean = float(data.sum()) / n
     if not math.isfinite(mean):
         raise ConfigurationError(f"estimation sample mean is {mean}")
-    return float(_grid_estimate(family, mean, n))
+    mle = family.clip_theta(mean, n)
+    step = 1.0 / math.sqrt(n)
+    lo, hi = family.param_lo, family.param_hi
+    k_min = math.floor(lo / step) + 1 if math.isfinite(lo) else -math.inf
+    k_max = math.ceil(hi / step) - 1 if math.isfinite(hi) else math.inf
+    if k_min > k_max:
+        # no grid point is strictly interior (n = 1 on a bounded domain):
+        # keep the clipped estimate rather than leave the domain
+        return float(mle)
+    # + 0.0 turns ceil's -0.0 into the integer grid index 0
+    k = np.ceil(mle / step - 0.5) + 0.0
+    return float(np.minimum(np.maximum(k, k_min), k_max) * step)
 
 
 def smoothed_score(family: Family, theta_hat, n2: int, rn: int, epsilon: float,
@@ -189,7 +191,7 @@ def smoothed_score(family: Family, theta_hat, n2: int, rn: int, epsilon: float,
     whose inverse-Fisher-scaled score is the amplified value.  The Fisher
     scalings of the score and of its inversion cancel, so only the family
     mean enters.  Works on Python floats (`clone`) and on arrays of
-    replicates (`_stat_targets`).
+    replicates or statistic values (`_replicate_atoms`, `_count_law`).
     """
     mean = family.mean(theta_hat)
     smoothed = (s2 - n2 * mean) / math.sqrt(n2)
@@ -254,22 +256,6 @@ class CloneLossReport:
     clip_rate: float
 
 
-def _stat_targets(family: Family, cfg: ClonerConfig, s1, s2, z,
-                  theta_hat: float | None = None) -> np.ndarray:
-    """Real statistic targets of replicates with sums ``s1``, ``s2`` and noise ``z``.
-
-    The array form of `estimate_theta` on the n1 estimation draws (sum
-    ``s1``) followed by `smoothed_score` on the scoring draws (sum ``s2``;
-    ``z`` is None when epsilon = 0).
-    """
-    if theta_hat is None:
-        that = _grid_estimate(family, s1 / cfg.n1, cfg.n1)
-        n2 = cfg.n2
-    else:
-        that, n2 = theta_hat, cfg.n
-    return smoothed_score(family, that, n2, cfg.rn, cfg.epsilon, s2, z)[2]
-
-
 def _rounding_atoms(family: Family, rn: int, target: np.ndarray) -> tuple[
     np.ndarray, np.ndarray, np.ndarray
 ]:
@@ -295,14 +281,15 @@ def _replicate_atoms(family: Family, theta: float, cfg: ClonerConfig, reps: int,
     """Rounding pmfs of ``reps`` replicates drawn at the statistic level.
 
     One stream per call, keyed by ``(seed, "clone-loss", family, label, n)``,
-    drawn in a fixed order: all S1, then all S2, then all Z.
+    drawn in a fixed order: all S2, then all Z.  The targets are
+    `smoothed_score`'s at the truth, since the estimate cancels from them
+    (the module docstring); ``theta_hat`` only makes S2 sum all n draws.
     """
     rng = stream(cfg.seed, "clone-loss", family.name, label, cfg.n)
-    frozen = theta_hat is not None
-    s1 = None if frozen else family.sample_stat(theta, cfg.n1, reps, rng)
-    s2 = family.sample_stat(theta, cfg.n if frozen else cfg.n2, reps, rng)
+    n2 = cfg.n2 if theta_hat is None else cfg.n
+    s2 = family.sample_stat(theta, n2, reps, rng)
     z = rng.standard_normal(reps) if cfg.epsilon > 0.0 else None
-    target = _stat_targets(family, cfg, s1, s2, z, theta_hat)
+    target = smoothed_score(family, theta, n2, cfg.rn, cfg.epsilon, s2, z)[2]
     return _rounding_atoms(family, cfg.rn, target)
 
 
@@ -321,29 +308,32 @@ def clone_loss_discrete(
     sampling, and is tested against this one.  The L1 of a plug-in mixture
     is biased upward, more so at large n where the law spreads over more
     cells.  Over 40 seeds at 20 000 replicates and criterion 4's configs
-    (r = 2, delta = 0.05, epsilon = 0.01), the mean bias was -0.0005,
-    +0.0027 and +0.0031 for Bernoulli theta = 0.3 at n = 100, 400 and 1600,
-    and +0.0020, +0.0052 and +0.0086 for Poisson theta = 2; the percentile
-    interval held the exact loss in as few as 10 of 40 runs (Poisson,
+    (r = 2, delta = 0.05, epsilon = 0.01), the mean bias was +0.0023,
+    +0.0018 and +0.0039 for Bernoulli theta = 0.3 at n = 100, 400 and 1600,
+    and +0.0021, +0.0034 and +0.0094 for Poisson theta = 2 (each within
+    about 0.001 of the truth, by the seeds' spread); the percentile
+    interval held the exact loss in as few as 5 of 40 runs (Poisson,
     n = 1600).
 
-    Each replicate draws S1 ~ law of S over n1 draws, S2 ~ law of S over n2
-    draws and, for epsilon > 0, Z ~ N(0, 1), all replicates of the call at
-    once on one stream keyed by ``(seed, "clone-loss", family, label, n)``,
-    so replicates at different n draw from different streams.  Each
-    replicate contributes its two-atom rounding pmf instead of a sampled
-    count, which strictly reduces the variance of the plug-in estimate.  The
-    confidence interval is Efron's bootstrap over replicates: each resample
-    reweights them by an exact Multinomial(reps, 1/reps) count vector.
-    ``bootstrap = 0`` skips it and reports a NaN interval; a percentile
-    interval needs at least 2 resamples.
+    Each replicate draws S2 ~ law of S over n2 draws and then, for epsilon
+    > 0, Z ~ N(0, 1), all replicates of the call at once on one stream keyed
+    by ``(seed, "clone-loss", family, label, n)``, so replicates at different
+    n draw from different streams.  Each replicate contributes its two-atom
+    rounding pmf instead of a sampled count, which strictly reduces the
+    variance of the plug-in estimate.  The confidence interval is Efron's
+    bootstrap over replicates: each resample reweights them by an exact
+    Multinomial(reps, 1/reps) count vector.  ``bootstrap = 0`` skips it and
+    reports a NaN interval; a percentile interval needs at least 2
+    resamples.
 
-    ``theta_hat`` freezes the estimation stage as in `clone`: no S1 is
-    drawn and S2 sums all n draws.
+    ``theta_hat``, domain-checked, makes S2 sum all n draws as in `clone`;
+    its value cancels.
     """
     _require_discrete(family)
     check_replicates(reps, bootstrap)
     family.require_in_domain(theta)
+    if theta_hat is not None:
+        family.require_in_domain(theta_hat)
     target_law = family.stat_pmf(theta, cfg.rn)  # refuses an oversized law before any draw
     atoms, weights, clipped = _replicate_atoms(family, theta, cfg, reps, label, theta_hat)
     lo_k = int(min(atoms.min(), target_law.support.min()))
@@ -418,13 +408,14 @@ def clone_loss_exact(
     truncation that function states, and ``ci_low = ci_high = loss``.  The
     clip rate is the exact chance that the real target falls outside
     `Family.stat_bounds`, the quantity whose replicate fraction the Monte
-    Carlo route reports.  ``theta_hat`` freezes the estimate as in `clone`.
+    Carlo route reports.  ``theta_hat``, domain-checked, only makes the
+    score stage take all n draws as in `clone`; its value cancels.
     """
     _require_discrete(family)
     if theta_hat is not None:
         family.require_in_domain(theta_hat)
+    target_law = family.stat_pmf(theta, cfg.rn)  # refuses an oversized law first
     law, clip_rate = _count_law(family, theta, cfg, theta_hat)
-    target_law = family.stat_pmf(theta, cfg.rn)
     lo = int(min(law.support[0], target_law.support[0]))
     hi = int(max(law.support[-1], target_law.support[-1]))
     loss = pmf_l1(_on_cells(law, lo, hi), _on_cells(target_law, lo, hi))
@@ -445,7 +436,8 @@ def _count_law(family: Family, theta: float, cfg: ClonerConfig,
     `_MASS_FLOOR` are dropped, and each value reaches `_BAND_SD` noise
     standard deviations (plus one cell) to each side, so the law misses at
     most the dropped mass plus 1e-32 per value.  The weights are built
-    ``_BLOCK_CELLS`` at a time, so memory does not grow with the band.
+    ``_BLOCK_CELLS`` at a time (one band at least), and a band over
+    `Family.require_cells`' cap is refused before it is allocated.
     """
     n2 = cfg.n2 if theta_hat is None else cfg.n
     rn = cfg.rn
@@ -453,9 +445,8 @@ def _count_law(family: Family, theta: float, cfg: ClonerConfig,
     keep = s_law.mass >= _MASS_FLOOR
     mass = s_law.mass[keep]
     # the estimate cancels from the target, so the truth stands in for it
-    centre = smoothed_score(family, theta if theta_hat is None else theta_hat,
-                            n2, rn, cfg.epsilon, s_law.support[keep].astype(float),
-                            None)[2]
+    centre = smoothed_score(family, theta, n2, rn, cfg.epsilon,
+                            s_law.support[keep].astype(float), None)[2]
     lo, hi = family.stat_bounds(rn)
     if cfg.epsilon == 0.0:
         atoms, weights, clipped = _rounding_atoms(family, rn, centre)
@@ -467,6 +458,7 @@ def _count_law(family: Family, theta: float, cfg: ClonerConfig,
     sd = rn * math.sqrt(cfg.epsilon / n2)
     half = math.ceil(_BAND_SD * sd) + 1
     width = 2 * half + 2
+    family.require_cells(width, rn)  # one row's band, before it is allocated
     base = np.floor(centre).astype(np.int64) - half  # each row's first cell
     lo_k = int(max(lo, base[0]))
     hi_k = int(min(hi, base[-1] + width - 1))

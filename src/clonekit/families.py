@@ -166,7 +166,12 @@ class Family:
 
     # -- helpers -----------------------------------------------------------
 
-    def _require_cells(self, cells: int, n: int) -> None:
+    def require_cells(self, cells: int, n: int) -> None:
+        """Refuse a law of the statistic over n draws on over `_STAT_CELLS_CAP` cells.
+
+        Checked before the cells are allocated: here by `stat_pmf`, and by
+        `clonekit.cloner`'s exact count law for its bands.
+        """
         if cells > _STAT_CELLS_CAP:
             raise ConfigurationError(
                 f"{self.name}: the statistic law for n={n} has {cells} cells, "
@@ -257,7 +262,7 @@ class Bernoulli(Family):
 
     def stat_pmf(self, theta, n):
         self.require_in_domain(theta)
-        self._require_cells(n + 1, n)
+        self.require_cells(n + 1, n)
         k = np.arange(n + 1)
         logp = (
             gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
@@ -319,7 +324,7 @@ class Poisson(Family):
         self.require_in_domain(theta)
         lam = n * theta
         hi = int(lam + 14.0 * math.sqrt(lam) + 30.0)
-        self._require_cells(hi + 1, n)
+        self.require_cells(hi + 1, n)
         k = np.arange(hi + 1)
         logp = k * math.log(lam) - lam - gammaln(k + 1.0)
         p = np.exp(logp)

@@ -25,8 +25,9 @@ matrices come from vector solves: a matrix right-hand side reaches BLAS
 A call holds one float per draw of a side plus the block scratch: both sides
 fill the same buffer in turn, and each side's mean and variance are taken in
 place with the steps of ``ndarray.var``, so they match it bit for bit.  The
-budget is capped at 10^8 draws per side (`_BUDGET_CAP`, an 800 MB buffer),
-so an oversized config is a `ConfigurationError`, not a failed allocation.
+budget is capped at 10^8 draws per side (`_BUDGET_CAP`, an 800 MB buffer)
+and the dimension at m = 256 (`_DIM_CAP`, a 32 MiB block of draws), so an
+oversized config is a `ConfigurationError`, not a failed allocation.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BLOCK = 1 << 14
 # Monte Carlo draws per side: the one float buffer of a call is 800 MB here
 _BUDGET_CAP = 10**8
+# Monte Carlo dimension: a block of `_BLOCK` x m draws is 32 MiB here
+_DIM_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,20 @@ def tv_isotropic(r: float, m: int) -> float:
     return max(0.0, 2.0 * (chi2_cdf(m, t_star) - chi2_cdf(m, t_star / r)))
 
 
+def check_dimension(route: str, m: int) -> None:
+    """Refuse a dimension m that ``route`` (a `tv_<route>` function) cannot take.
+
+    The routes check here themselves; a caller that has yet to build the
+    m x m pair checks here first, so an oversized m allocates nothing.
+    """
+    if route == "quadrature" and m > 2:
+        raise ConfigurationError("quadrature supports m <= 2 only")
+    if route == "monte_carlo" and m > _DIM_CAP:
+        raise ConfigurationError(
+            f"Monte Carlo dimension m = {m} is over the cap of {_DIM_CAP}"
+        )
+
+
 def tv_quadrature(p: GaussianShift, q: GaussianShift, tol: float = 1e-6) -> float:
     """``int |p - q|`` for two Gaussians of the same dimension m <= 2.
 
@@ -161,8 +178,7 @@ def tv_quadrature(p: GaussianShift, q: GaussianShift, tol: float = 1e-6) -> floa
     """
     if p.dim != q.dim:
         raise ConfigurationError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    if p.dim > 2:
-        raise ConfigurationError("quadrature supports m <= 2 only")
+    check_dimension("quadrature", p.dim)
     shift = solve_triangular(p._chol, q.mean - p.mean, lower=True)
     root = _whitened(p, q)
     var, axes = np.linalg.eigh(root @ root.T)
@@ -211,10 +227,12 @@ def tv_monte_carlo(
     Memory is one float per draw of a side plus the block scratch: the two
     sides take turns in one buffer, each reduced to its mean and variance
     before the next fills it.  ``budget`` is capped at `_BUDGET_CAP` draws
-    per side, checked before anything is allocated or drawn.
+    per side and the dimension at `_DIM_CAP`, checked before anything is
+    allocated or drawn.
     """
     if p.dim != q.dim:
         raise ConfigurationError(f"dimension mismatch: {p.dim} vs {q.dim}")
+    check_dimension("monte_carlo", p.dim)
     if budget < 1:
         raise ConfigurationError(f"budget must be positive, got {budget}")
     if budget > _BUDGET_CAP:

@@ -91,6 +91,24 @@ class TestTvExperiment:
         value = float(data[1].split(",")[3])
         assert abs(value - TV_2_1) < 1e-9
 
+    def test_closed_form_needs_no_matrix(self, tmp_path):
+        # m = 100000 would be a 75 GiB identity pair; the closed form builds none
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[tv]\nm = 100000\nroutes = closed_form\n")
+        out = tmp_path / "tv.csv"
+        tracemalloc.start()
+        try:
+            code = run_cli(["tv", "--config", str(ini), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        from clonekit import tv_isotropic
+
+        row = out.read_text().splitlines()[-1].split(",")
+        assert float(row[3]) == tv_isotropic(2, 100000)
+        assert peak < 4 * 2**20
+
     def test_seventeen_digit_floats_round_trip(self, tmp_path):
         out = tmp_path / "tv.csv"
         run_cli(["tv", "--out", str(out)])
@@ -243,10 +261,16 @@ _OVERSIZED = [
     ("coupling", "resolution = 100000000000", "resolution 100000000000 is over the cap"),
     ("clone-sim", "n_grid = 100000000000", "cells, over the cap"),
     ("coupling", "n_grid = 100000000000", "cells, over the cap"),
+    # the exact count law's smoothing band, 4.9e8 cells wide at n = 100
+    ("clone-sim", "epsilon = 1e12", "cells, over the cap"),
+    # refused before the m x m pair is built
+    ("tv", "m = 100000\nroutes = monte_carlo", "m = 100000 is over the cap"),
+    ("tv", "m = 100000\nroutes = quadrature", "m <= 2"),
 ]
 _OVERSIZED_IDS = [
     "clone-sim-reps", "clone-sim-bootstrap", "minimax-probe-reps", "lan-diag-reps",
-    "coupling-resolution", "clone-sim-n", "coupling-n",
+    "coupling-resolution", "clone-sim-n", "coupling-n", "clone-sim-epsilon",
+    "tv-mc-m", "tv-quadrature-m",
 ]
 
 

@@ -32,7 +32,6 @@ from clonekit.cloner import (
     _replicate_atoms,
     _rounding_atoms,
     _smoothed_tent,
-    _stat_targets,
     mixture_pmf,
     smoothed_score,
 )
@@ -61,9 +60,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("epsilon", math.nan), ("r", math.nan), ("r", math.inf), ("delta", math.nan),
+        ("epsilon", math.inf),
     ])
     def test_non_finite_rejected(self, field, value):
-        # epsilon = NaN used to run unsmoothed, with the epsilon = 0 loss
+        # epsilon = NaN used to run unsmoothed, with the epsilon = 0 loss;
+        # epsilon = inf overflowed sizing the exact law's band
         kwargs = dict(n=10, r=2.0, delta=0.1, epsilon=0.01, seed=1)
         with pytest.raises(ConfigurationError, match=field):
             ClonerConfig(**{**kwargs, field: value})
@@ -332,27 +333,48 @@ class TestCloneLoss:
         assert "clip rate" in caplog.text
 
     def test_rao_blackwell_beats_plugin_variance(self):
-        # paired streams: same replicate targets, RB pmf vs sampled counts
-        fam, theta = Bernoulli(), 0.3
-        rb_losses, plug_losses = [], []
+        # paired replicates: each one's RB two-atom pmf vs a count sampled
+        # from it.  Both mixtures are unbiased for the exact output law, so
+        # their expected summed squared error against it is their summed
+        # cell variance, which RB lowers; the L1 of a mixture has no such
+        # guarantee
+        fam, theta, reps = Bernoulli(), 0.3, 500
+        rb_sse = plug_sse = 0.0
         for trial in range(24):
             cfg = ClonerConfig(n=100, r=2.0, delta=0.05, epsilon=0.01,
                                seed=1000 + trial)
-            reps = 500
-            rep = clone_loss_discrete(fam, theta, cfg, reps=reps, bootstrap=0)
-            rb_losses.append(rep.loss)
+            exact, _ = _count_law(fam, theta, cfg)
+            exact_vec = np.zeros(cfg.rn + 1)
+            exact_vec[exact.support] = exact.mass
             atoms, weights, _ = _replicate_atoms(fam, theta, cfg, reps)
-            target = fam.stat_pmf(theta, cfg.rn)
+            rb = mixture_pmf(atoms.ravel(), weights.ravel(), cfg.rn + 1, reps)
             rng = stream(cfg.seed, "plugin")
             pick = (rng.random(reps) < weights[:, 1]).astype(int)
             counts = atoms[np.arange(reps), pick]
-            pmf = np.bincount(counts, minlength=cfg.rn + 1) / reps
-            target_vec = np.zeros(max(cfg.rn + 1, target.support.max() + 1))
-            target_vec[target.support] = target.mass
-            pmf_padded = np.zeros_like(target_vec)
-            pmf_padded[: cfg.rn + 1] = pmf
-            plug_losses.append(np.abs(pmf_padded - target_vec).sum())
-        assert np.var(rb_losses) < np.var(plug_losses)
+            plug = np.bincount(counts, minlength=cfg.rn + 1) / reps
+            rb_sse += np.sum((rb - exact_vec) ** 2)
+            plug_sse += np.sum((plug - exact_vec) ** 2)
+        assert rb_sse < plug_sse
+
+    @pytest.mark.parametrize("family", [Bernoulli(), Poisson()], ids=lambda f: f.name)
+    @pytest.mark.parametrize("frozen", [False, True], ids=["estimated", "frozen"])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.01])
+    def test_replicate_atoms_draw_s2_then_z(self, family, frozen, epsilon):
+        # the stream gives all S2, then all Z, scored at the truth; a frozen
+        # estimate (off the truth here) only makes S2 sum all n draws
+        theta = 0.3 if family.name == "bernoulli" else 2.0
+        cfg = ClonerConfig(n=400, r=2.0, delta=0.05, epsilon=epsilon, seed=34)
+        reps = 500
+        rng = stream(cfg.seed, "clone-loss", family.name, "h1", cfg.n)
+        n2 = cfg.n if frozen else cfg.n2
+        s2 = family.sample_stat(theta, n2, reps, rng)
+        z = rng.standard_normal(reps) if epsilon > 0.0 else None
+        target = smoothed_score(family, theta, n2, cfg.rn, epsilon, s2, z)[2]
+        want = _rounding_atoms(family, cfg.rn, target)
+        got = _replicate_atoms(family, theta, cfg, reps, label="h1",
+                               theta_hat=1.25 * theta if frozen else None)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 class _FixedRng:
@@ -383,7 +405,7 @@ class TestStatisticLevelAgreement:
     def test_targets_and_atoms_match_scalar_rule(self, family, theta, cfg, frozen):
         theta = 2.0 * theta if family.name == "poisson" else theta
         reps = 300
-        s1, s2 = np.empty(reps, dtype=np.int64), np.empty(reps, dtype=np.int64)
+        s2 = np.empty(reps, dtype=np.int64)
         z = stream(cfg.seed, "agree-z", family.name).standard_normal(reps)
         scalar = np.empty(reps)
         for i in range(reps):
@@ -393,14 +415,14 @@ class TestStatisticLevelAgreement:
             else:
                 that = estimate_theta(family, data[: cfg.n1])
                 score_data = data[cfg.n1:]
-            s1[i], s2[i] = data[: cfg.n1].sum(), score_data.sum()
+            s2[i] = score_data.sum()
             scalar[i] = smoothed_score(
                 family, that, score_data.size, cfg.rn, cfg.epsilon,
                 float(score_data.sum()), float(z[i]) if cfg.epsilon > 0 else None,
             )[2]
-        target = _stat_targets(family, cfg, None if frozen else s1, s2,
-                               z if cfg.epsilon > 0 else None,
-                               theta if frozen else None)
+        # the estimate cancels, so the array rule scores at the truth
+        target = smoothed_score(family, theta, cfg.n if frozen else cfg.n2, cfg.rn,
+                                cfg.epsilon, s2, z if cfg.epsilon > 0 else None)[2]
         np.testing.assert_allclose(target, scalar, rtol=1e-12, atol=0.0)
 
         atoms, weights, clipped = _rounding_atoms(family, cfg.rn, target)
@@ -441,22 +463,19 @@ class TestStatisticLevelAgreement:
         return samples
 
     def test_grid_estimate_matches_scalar(self):
-        # `estimate_theta` on a sample and the array snap of `_stat_targets`
-        # on its sum agree bit for bit, signed zeros included
+        # `estimate_theta` on samples that reach every branch of the snap,
+        # pinned bit for bit (signed zeros included) to the values it and the
+        # array snap of the loss route agreed on before that snap was removed
         rng = stream(21, "grid-scalar")
+        digest = hashlib.sha256()
         for fam in (Bernoulli(), Poisson(), GaussianLocation(1.0)):
             for n1 in (1, 2, 4, 5, 9, 50, 400):
-                samples = self._samples(fam, n1, rng)
-                snapped = np.array([estimate_theta(fam, d) for d in samples])
-                s1 = np.array([d.sum() for d in samples])
-                grid = cloner._grid_estimate(fam, s1 / n1, n1)
-                np.testing.assert_array_equal(snapped, grid)
-                assert np.array_equal(np.signbit(snapped), np.signbit(grid))
-                cfg = ClonerConfig(n=4 * n1, r=1.0, delta=0.25, epsilon=0.0, seed=1)
-                assert cfg.n1 == n1
-                # r = 1, epsilon = 0 and S2 = n2 theta_hat: the target is rn theta_hat
-                target = _stat_targets(fam, cfg, s1, snapped * cfg.n2, None)
-                np.testing.assert_array_equal(target, snapped * cfg.rn)
+                snapped = np.array([estimate_theta(fam, d)
+                                    for d in self._samples(fam, n1, rng)])
+                digest.update(snapped.astype("<f8").tobytes())
+        assert digest.hexdigest() == (
+            "0bbc5d3184aab58eab9e52d924928617289763cf6b25105507a2ef96183d6742"
+        )
 
 
 class TestSequenceVsCountLevel:

@@ -349,6 +349,9 @@ class TestTvNumeric:
         # no rng: the cap is checked before anything is allocated or drawn
         with pytest.raises(ValueError, match="over the cap"):
             tv_monte_carlo(p, p, gaussian._BUDGET_CAP + 1, None)
+        wide = GaussianShift(np.zeros(gaussian._DIM_CAP + 1), np.eye(gaussian._DIM_CAP + 1))
+        with pytest.raises(ValueError, match="m = 257 is over the cap"):
+            tv_monte_carlo(wide, wide, 100, None)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_monte_carlo_holds_one_buffer(self, m):
