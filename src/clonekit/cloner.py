@@ -32,7 +32,10 @@ The output count law has two routes:
 
 - `clone_loss_exact` computes it with no sampling.  By the cancellation it
   is a one-dimensional sum over the exact law of S2 of the smoothed rounding
-  weights ``E[tent(T - k)]``, in closed form (`_count_law`).
+  weights ``E[tent(T - k)]``, in closed form (`_count_law`).  S2 values
+  ``n2 / gcd(rn, n2)`` apart have targets exactly ``rn / gcd(rn, n2)``
+  cells apart, so one row of weights per residue serves all of them,
+  placed by an exact integer shift.
 - `clone_loss_discrete` estimates it by Monte Carlo and is the reference
   that the exact route is tested against.  Stages 2-3 read only the sum S2
   of the n2 scoring draws, and by the cancellation stage 1 changes nothing,
@@ -174,10 +177,8 @@ def estimate_theta(family: Family, data: np.ndarray) -> float:
     if k_min > k_max:
         # no grid point is strictly interior (n = 1 on a bounded domain):
         # keep the clipped estimate rather than leave the domain
-        return float(mle)
-    # + 0.0 turns ceil's -0.0 into the integer grid index 0
-    k = np.ceil(mle / step - 0.5) + 0.0
-    return float(np.minimum(np.maximum(k, k_min), k_max) * step)
+        return mle
+    return min(max(math.ceil(mle / step - 0.5), k_min), k_max) * step
 
 
 def smoothed_score(family: Family, theta_hat, n2: int, rn: int, epsilon: float,
@@ -435,44 +436,73 @@ def _count_law(family: Family, theta: float, cfg: ClonerConfig,
     `Family.round_stat` clips.  Truncation: statistic values of mass below
     `_MASS_FLOOR` are dropped, and each value reaches `_BAND_SD` noise
     standard deviations (plus one cell) to each side, so the law misses at
-    most the dropped mass plus 1e-32 per value.  The weights are built
-    ``_BLOCK_CELLS`` at a time (one band at least), and a band over
-    `Family.require_cells`' cap is refused before it is allocated.
+    most the dropped mass plus 1e-32 per value.
+
+    Since ``c(s) = (rn / n2) s``, values ``period = n2 / gcd(rn, n2)`` apart
+    have centres exactly ``step = rn / gcd(rn, n2)`` cells apart and the
+    same weight row, shifted.  So only the first kept value ``s`` of each
+    residue modulo ``period`` (keyed by value, so the kept support need not
+    be consecutive) is scored by `smoothed_score` and weighted, and the
+    value ``s + a period`` reuses that row ``a step`` cells on: an integer
+    shift, with no rounding.  With ``period`` at least the kept count, each
+    value is its own representative.  The representatives' rows and the
+    weights scattered from them are built ``_BLOCK_CELLS`` at a time (one
+    band at least), and a band or a law span over `Family.require_cells`'
+    cap is refused before it is allocated.
     """
     n2 = cfg.n2 if theta_hat is None else cfg.n
     rn = cfg.rn
     s_law = family.stat_pmf(theta, n2)
     keep = s_law.mass >= _MASS_FLOOR
     mass = s_law.mass[keep]
-    # the estimate cancels from the target, so the truth stands in for it
-    centre = smoothed_score(family, theta, n2, rn, cfg.epsilon,
-                            s_law.support[keep].astype(float), None)[2]
+    s2 = s_law.support[keep]
     lo, hi = family.stat_bounds(rn)
+    # the estimate cancels from the target, so the truth stands in for it
     if cfg.epsilon == 0.0:
+        centre = smoothed_score(family, theta, n2, rn, 0.0, s2.astype(float), None)[2]
         atoms, weights, clipped = _rounding_atoms(family, rn, centre)
         lo_k = int(atoms.min())
+        cells = int(atoms.max()) - lo_k + 1
+        family.require_cells(cells, rn)  # the law's span, before it is allocated
         law = mixture_pmf((atoms - lo_k).ravel(), (weights * mass[:, None]).ravel(),
-                          int(atoms.max()) - lo_k + 1, 1)
+                          cells, 1)
         return _from_cell(lo_k, law), float(mass[clipped].sum())
 
     sd = rn * math.sqrt(cfg.epsilon / n2)
     half = math.ceil(_BAND_SD * sd) + 1
     width = 2 * half + 2
     family.require_cells(width, rn)  # one row's band, before it is allocated
-    base = np.floor(centre).astype(np.int64) - half  # each row's first cell
-    lo_k = int(max(lo, base[0]))
-    hi_k = int(min(hi, base[-1] + width - 1))
+    # one representative per residue of S2 modulo `period`
+    gcd = math.gcd(rn, n2)
+    period, step = n2 // gcd, rn // gcd
+    _, first, rep = np.unique(s2 % period, return_index=True, return_inverse=True)
+    centre = smoothed_score(family, theta, n2, rn, cfg.epsilon,
+                            s2[first].astype(float), None)[2]
+    rep_base = np.floor(centre).astype(np.int64) - half  # first cell of each
+    shift = (s2 - s2[first[rep]]) // period * step
+    base = rep_base[rep] + shift  # each row's first cell
+    lo_k = int(max(lo, base.min()))
+    hi_k = int(min(hi, base.max() + width - 1))
+    family.require_cells(hi_k - lo_k + 1, rn)  # the law's span
     law = np.zeros(hi_k - lo_k + 1)
     offsets = np.arange(width)
     rows = max(1, _BLOCK_CELLS // width)
-    for start in range(0, centre.size, rows):
-        block = slice(start, start + rows)
-        cells = base[block, None] + offsets
-        weights = _smoothed_tent(centre[block, None] - cells, sd)
-        index = np.clip(cells, lo, hi).astype(np.int64) - lo_k
-        law += mixture_pmf(index.ravel(), (weights * mass[block, None]).ravel(),
-                           law.size, 1)
-    outside = ndtr((lo - centre) / sd) + ndtr((centre - hi) / sd)
+    # rows grouped by representative, so the rows of a block of
+    # representatives are one run of `order`
+    order = np.argsort(rep, kind="stable")
+    runs = np.searchsorted(rep[order], np.arange(0, centre.size + rows, rows))
+    for block, start in enumerate(range(0, centre.size, rows)):
+        owners = slice(start, start + rows)
+        cells = rep_base[owners, None] + offsets
+        table = _smoothed_tent(centre[owners, None] - cells, sd)
+        members = order[runs[block]:runs[block + 1]]
+        for at in range(0, members.size, rows):
+            chunk = members[at:at + rows]
+            weights = table[rep[chunk] - start] * mass[chunk, None]
+            index = np.clip(base[chunk, None] + offsets, lo, hi).astype(np.int64) - lo_k
+            law += mixture_pmf(index.ravel(), weights.ravel(), law.size, 1)
+    row_centre = centre[rep] + shift
+    outside = ndtr((lo - row_centre) / sd) + ndtr((row_centre - hi) / sd)
     return _from_cell(lo_k, law), float(mass @ outside)
 
 

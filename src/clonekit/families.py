@@ -65,20 +65,20 @@ class Family:
                 f"{self.name}: theta={theta} outside ({self.param_lo}, {self.param_hi})"
             )
 
-    def clip_theta(self, theta, n: int):
+    def clip_theta(self, theta: float, n: int) -> float:
         """Clip into the interior margin [lo + 1/n, hi - 1/n] (where finite).
 
         On bounded domains the margin is capped at a third of the width so
-        the interval stays nonempty for tiny n.  Elementwise on arrays.
+        the interval stays nonempty for tiny n.  Takes and returns a float.
         """
         lo, hi = self.param_lo, self.param_hi
         margin = 1.0 / n
         if math.isfinite(lo) and math.isfinite(hi):
             margin = min(margin, (hi - lo) / 3.0)
         if math.isfinite(lo):
-            theta = np.maximum(theta, lo + margin)
+            theta = max(theta, lo + margin)
         if math.isfinite(hi):
-            theta = np.minimum(theta, hi - margin)
+            theta = min(theta, hi - margin)
         return theta
 
     # -- single-outcome quantities ----------------------------------------

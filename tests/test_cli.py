@@ -318,6 +318,10 @@ class TestInvalidInput:
          "budget 100000000000 is over the cap"),
         ("amp-loss", "method = monte_carlo\nbudget = 100000000000",
          "budget 100000000000 is over the cap"),
+        # the exact count law spans (rn / n2) times the S2 support: 1.2e9
+        # cells here, refused before the law is allocated
+        ("clone-sim", "family = poisson\ntheta = 0.01\nn_grid = 2\ndelta = 0.5\n"
+         "r = 100000000\nepsilon = 0", "1200000002 cells, over the cap"),
     ], ids=[
         "lan-diag-n0", "coupling-n0", "amp-loss-closed-form-r1",
         "amp-loss-closed-form-r2", "tv-mc-budget0", "tv-mc-budget-neg",
@@ -332,6 +336,7 @@ class TestInvalidInput:
         "deficiency-row-cap", "deficiency-row-cap-of-a-later-a",
         "deficiency-shift-list-cap", "clone-sim-bootstrap-neg", "clone-sim-bootstrap1",
         "tv-mc-budget-over-cap", "amp-loss-mc-budget-over-cap",
+        "clone-sim-count-law-span",
     ])
     def test_exits_2_without_report(
         self, tmp_path, capsys, monkeypatch, experiment, section, says

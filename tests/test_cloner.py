@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import chdtrc
+from scipy.special import chdtrc, ndtr
 
 from clonekit import (
     Bernoulli,
@@ -35,6 +35,7 @@ from clonekit.cloner import (
     mixture_pmf,
     smoothed_score,
 )
+from clonekit.lawdist import EmpiricalLaw
 
 TV_2_1 = 0.3321281500  # || N(0, 1) - N(0, 2) ||_1, independent oracle
 
@@ -590,8 +591,69 @@ def _pearson_pvalue(counts, expected):
     return float(chdtrc(int(keep.sum()), stat))
 
 
+def _per_row_count_law(family, theta, cfg, theta_hat=None):
+    """`_count_law` at epsilon > 0 with one `_smoothed_tent` row per S2 value.
+
+    Each row is placed and weighted at its own `smoothed_score` centre, with
+    no rows shared; returns the law on its cells and the clip rate.
+    """
+    n2 = cfg.n2 if theta_hat is None else cfg.n
+    s_law = family.stat_pmf(theta, n2)
+    keep = s_law.mass >= cloner._MASS_FLOOR
+    mass = s_law.mass[keep]
+    centre = smoothed_score(family, theta, n2, cfg.rn, cfg.epsilon,
+                            s_law.support[keep].astype(float), None)[2]
+    sd = cfg.rn * math.sqrt(cfg.epsilon / n2)
+    half = math.ceil(cloner._BAND_SD * sd) + 1
+    cells = np.floor(centre).astype(np.int64)[:, None] - half + np.arange(2 * half + 2)
+    weights = _smoothed_tent(centre[:, None] - cells, sd) * mass[:, None]
+    lo, hi = family.stat_bounds(cfg.rn)
+    cells = np.clip(cells, lo, hi).astype(np.int64)
+    first = int(cells.min())
+    pmf = np.bincount((cells - first).ravel(), weights.ravel())
+    outside = ndtr((lo - centre) / sd) + ndtr((centre - hi) / sd)
+    return EmpiricalLaw(np.arange(first, first + pmf.size), pmf), float(mass @ outside)
+
+
 class TestExactCountLaw:
     """`_count_law` and `clone_loss_exact` against independent references."""
+
+    # (family, theta, cfg, frozen estimate, S2 period >= kept rows)
+    @pytest.mark.parametrize("family,theta,cfg,frozen,unshared", [
+        # criterion 4's configs at n = 400: period 19, 149 and 460 rows
+        (Bernoulli(), 0.3, ClonerConfig(n=400, r=2.0, delta=0.05, epsilon=0.01, seed=1),
+         False, False),
+        (Poisson(), 2.0, ClonerConfig(n=400, r=2.0, delta=0.05, epsilon=0.01, seed=1),
+         False, False),
+        # gcd(rn, n2) = gcd(202, 95) = 1: period 95, every row its own
+        (Bernoulli(), 0.3, ClonerConfig(n=101, r=2.0, delta=0.05, epsilon=0.01, seed=1),
+         False, True),
+        # period 1, targets pushed past both ends
+        (Bernoulli(), 0.5, ClonerConfig(n=2, r=1.0, delta=0.5, epsilon=5.0, seed=43),
+         True, False),
+        (Poisson(), 0.5, ClonerConfig(n=2, r=1.0, delta=0.5, epsilon=5.0, seed=43),
+         True, False),
+        (Bernoulli(), 0.5, ClonerConfig(n=3, r=2.0, delta=0.4, epsilon=5.0, seed=44),
+         False, False),
+        (Poisson(), 0.5, ClonerConfig(n=3, r=2.0, delta=0.4, epsilon=5.0, seed=44),
+         False, False),
+        # the frozen estimate: n2 = n, period 1
+        (Poisson(), 2.0, ClonerConfig(n=400, r=2.0, delta=0.05, epsilon=0.01, seed=1),
+         True, False),
+    ], ids=["bernoulli-400", "poisson-400", "bernoulli-101", "bernoulli-clip-frozen",
+            "poisson-clip-frozen", "bernoulli-clip", "poisson-clip", "poisson-400-frozen"])
+    def test_shared_rows_match_per_row_weights(self, family, theta, cfg, frozen, unshared):
+        that = theta if frozen else None
+        n2 = cfg.n if frozen else cfg.n2
+        rows = int((family.stat_pmf(theta, n2).mass >= cloner._MASS_FLOOR).sum())
+        assert (n2 // math.gcd(cfg.rn, n2) >= rows) == unshared
+        law, clip_rate = _count_law(family, theta, cfg, that)
+        reference, reference_clip = _per_row_count_law(family, theta, cfg, that)
+        cells = np.arange(min(law.support[0], reference.support[0]),
+                          max(law.support[-1], reference.support[-1]) + 1)
+        np.testing.assert_allclose(_law_on(law, cells), _law_on(reference, cells),
+                                   rtol=0, atol=1e-15)
+        assert math.isclose(clip_rate, reference_clip, rel_tol=1e-12, abs_tol=0.0)
 
     @pytest.mark.parametrize("family,theta", [(Bernoulli(), 0.3), (Poisson(), 0.7)],
                              ids=["bernoulli", "poisson"])
@@ -694,6 +756,14 @@ class TestExactCountLaw:
                                  theta_hat=that).clip_rate
         assert exact > 0.05
         assert abs(mc - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / reps)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.01])
+    def test_span_over_the_cap_refused(self, epsilon):
+        # n2 = 1 and rn = 2e6: the kept S2 values 0 .. 6 put targets 2e6
+        # cells apart, 1.2e7 cells at epsilon = 0 and 1.44e7 with the bands
+        cfg = ClonerConfig(n=2, r=1e6, delta=0.5, epsilon=epsilon, seed=1)
+        with pytest.raises(ConfigurationError, match="cells, over the cap"):
+            _count_law(Poisson(), 0.01, cfg)
 
     def test_clip_alarm_logged(self, caplog):
         cfg = ClonerConfig(n=2, r=1.0, delta=0.5, epsilon=5.0, seed=21)
