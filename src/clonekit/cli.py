@@ -11,7 +11,9 @@ echo the raw text, ``cfg.params``.  All randomness flows through
 counter-based streams keyed by the seed and the experiment's own path, so
 identical (config, seed) pairs produce byte-identical CSV on one platform.
 ``--workers`` is accepted and echoed in JSON reports, but every experiment
-runs in one process, so it cannot change a number.
+runs in one process, so it cannot change a number.  The Monte Carlo L1 route
+(`gaussian.tv_monte_carlo`) scores its two sides on two threads whatever
+``--workers`` says, and no number depends on that either.
 
 Exit codes: 0 success, 2 configuration error (`ConfigurationError`, from
 `_param` or the library's checks), 3 numerical failure (a partial report is

@@ -22,32 +22,40 @@ frame, elementwise in the same standard-normal draws that
 `GaussianShift.sample` would use, in cache-sized blocks.  Its whitening
 matrices come from vector solves: a matrix right-hand side reaches BLAS
 ``trsm``, which wakes a BLAS thread that then spins through the whole pass.
-A call holds one float per draw of a side plus the block scratch: both sides
-fill the same buffer in turn, and each side's mean and variance are taken in
-place with the steps of ``ndarray.var``, so they match it bit for bit.  The
-budget is capped at 10^8 draws per side (`_BUDGET_CAP`, an 800 MB buffer)
-and the dimension at m = 256 (`_DIM_CAP`, a 32 MiB block of draws), so an
-oversized config is a `ConfigurationError`, not a failed allocation.
+The two sides are independent, so they run at once: the p side in the
+calling thread and the q side in one helper thread, each on its own child
+stream keyed by one integer drawn from the caller's generator, which thus
+advances by the same amount whatever the budget.  Each side merges its
+blocks' means and centred sums of squares in block order (Chan, Golub and
+LeVeque), so a call holds only two sides' block scratch, and no number
+depends on how the threads are scheduled.  The budget is capped at 10^8
+draws per side (`_BUDGET_CAP`) and the dimension at m = 256 (`_DIM_CAP`), so
+an oversized config is a `ConfigurationError`, not a run of minutes or a
+failed allocation.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammainc, ndtr
 
+from . import streams
 from .errors import ConfigurationError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Monte Carlo draws per block: a block and its scratch stay in cache
 _BLOCK = 1 << 14
-# Monte Carlo draws per side: the one float buffer of a call is 800 MB here
+# Monte Carlo draws per side: bounds the time of a call (about 9 s at m = 3
+# on 2 vCPUs); its memory does not grow with the budget
 _BUDGET_CAP = 10**8
-# Monte Carlo dimension: a block of `_BLOCK` x m draws is 32 MiB here
+# Monte Carlo dimension: each side holds a block of `_BLOCK` x m draws, so two
+# 32 MiB blocks are live here
 _DIM_CAP = 256
 
 
@@ -215,20 +223,22 @@ def tv_monte_carlo(
 
         ``int |p - q| = E_p[(1 - q/p)^+] + E_q[(1 - p/q)^+]``
 
-    with ``budget`` samples per expectation, the p side drawn first.  Each
-    expectation is evaluated in its sampling law's whitened frame from the
-    same standard-normal draws that `GaussianShift.sample` would use, so the
-    value equals the sample-space formula on the same stream up to rounding.
+    with ``budget`` samples per expectation.  The two expectations run on
+    two threads, each on its own child stream of one integer drawn from
+    ``rng`` (see `_tv_monte_carlo`), so ``rng`` advances by one draw
+    whatever the budget.  Each expectation is evaluated in its sampling
+    law's whitened frame from the same standard-normal draws that
+    `GaussianShift.sample` would use on its child stream, so the value
+    equals the sample-space formula on those streams up to rounding.
     For nearly disjoint pairs (value above about 1.9999) the shortfall is a
     rare event that a modest budget seldom samples, and the reported
     ``std_error`` then understates the error by orders of magnitude; compare
     there against quadrature or with an absolute floor.
 
-    Memory is one float per draw of a side plus the block scratch: the two
-    sides take turns in one buffer, each reduced to its mean and variance
-    before the next fills it.  ``budget`` is capped at `_BUDGET_CAP` draws
-    per side and the dimension at `_DIM_CAP`, checked before anything is
-    allocated or drawn.
+    Memory is each side's block scratch, whatever the budget: a side's
+    mean and variance are merged block by block.  ``budget`` is capped at
+    `_BUDGET_CAP` draws per side and the dimension at `_DIM_CAP`, checked
+    before anything is allocated or drawn.
     """
     if p.dim != q.dim:
         raise ConfigurationError(f"dimension mismatch: {p.dim} vs {q.dim}")
@@ -247,31 +257,38 @@ def _tv_monte_carlo(
 ) -> tuple[float, float]:
     """`tv_monte_carlo` without its checks.
 
-    One ``budget``-float buffer holds the p side's shortfalls, then, once
-    their moments are taken, the q side's.  Blocked draws continue one
-    stream, so the value equals one ``(budget, m)`` draw per side, the p side
-    first, bit for bit.  `perfbench/tracer.py` hooks this name and reads
-    ``budget`` positionally.
+    Draws one integer ``w`` from ``rng`` and scores the p side on
+    ``stream(w, "tv-mc", 0)`` in the calling thread while a helper thread
+    scores the q side on ``stream(w, "tv-mc", 1)``.  Each side is a pure
+    function of its own stream, so the result does not depend on the
+    scheduling.  Both streams are built before the helper starts, and the
+    helper calls only `_shortfall`: `perfbench/tracer.py` wraps `stream`, and
+    its span stack is single-threaded.  An exception on either side is
+    raised here once the helper has been joined.  The tracer hooks this name
+    and reads ``budget`` positionally.
     """
-    buf = np.empty(budget)
-    mean_a, var_a = _moments(_shortfall(p, q, rng, buf))
-    mean_b, var_b = _moments(_shortfall(q, p, rng, buf))
+    w = int(rng.integers(1 << 63))
+    p_rng, q_rng = streams.stream(w, "tv-mc", 0), streams.stream(w, "tv-mc", 1)
+    q_side: list = [None]
+
+    def score_q() -> None:
+        try:
+            q_side[0] = _shortfall(q, p, q_rng, budget)
+        except BaseException as exc:  # raised again in the calling thread
+            q_side[0] = exc
+
+    helper = threading.Thread(target=score_q, name="tv-mc-q")
+    helper.start()
+    try:
+        mean_a, var_a = _shortfall(p, q, p_rng, budget)
+    finally:
+        helper.join()
+    if isinstance(q_side[0], BaseException):
+        raise q_side[0]
+    mean_b, var_b = q_side[0]
     value = float(mean_a + mean_b)
     se = math.sqrt(var_a / budget + var_b / budget)
     return value, se
-
-
-def _moments(x: np.ndarray) -> tuple[float, float]:
-    """``(x.mean(), x.var())``, overwriting ``x`` with its squared deviations.
-
-    The steps of numpy's ``ndarray.var`` (sum over size, subtract, square,
-    sum over size), done in place, so both values are the same bit for bit
-    without the budget-sized temporary ``var`` allocates.
-    """
-    mean = x.mean()
-    np.subtract(x, mean, out=x)
-    np.square(x, out=x)
-    return mean, np.add.reduce(x) / x.size
 
 
 def _whitened(p: GaussianShift, q: GaussianShift) -> np.ndarray:
@@ -286,25 +303,30 @@ def _whitened(p: GaussianShift, q: GaussianShift) -> np.ndarray:
 
 
 def _shortfall(
-    p: GaussianShift, q: GaussianShift, rng: np.random.Generator, out: np.ndarray
-) -> np.ndarray:
-    """Fill ``out`` with ``(1 - q/p)^+``, one draw ``x = mean_p + L_p z`` of p each.
+    p: GaussianShift, q: GaussianShift, rng: np.random.Generator, budget: int
+) -> tuple[float, float]:
+    """Mean and variance of ``(1 - q/p)^+`` over ``budget`` draws of p.
 
-    In p's whitened frame ``L_q^{-1}(x - mean_q) = A z + b`` with
-    ``A = L_q^{-1} L_p`` (lower triangular) and ``b = L_q^{-1}(mean_p -
-    mean_q)``, so ``log q(x) - log p(x) = (|z|^2 - |A z + b|^2) / 2 + log det
-    L_p - log det L_q``.  The m x m solves are the only ones; the per-draw
-    work is elementwise, one coordinate at a time, per block of `_BLOCK`.
-    Returns ``out``.
+    Each draw is ``x = mean_p + L_p z``.  In p's whitened frame
+    ``L_q^{-1}(x - mean_q) = A z + b`` with ``A = L_q^{-1} L_p`` (lower
+    triangular) and ``b = L_q^{-1}(mean_p - mean_q)``, so ``log q(x) - log
+    p(x) = (|z|^2 - |A z + b|^2) / 2 + log det L_p - log det L_q``.  The m x m
+    solves are the only ones; the per-draw work is elementwise, one
+    coordinate at a time, per block of `_BLOCK`.  Each block's mean and
+    centred sum of squares are merged into the running ones in block order
+    (Chan, Golub and LeVeque), so no budget-sized buffer is held.  The
+    variance divides by ``budget``, as ``ndarray.var`` does.
     """
     a_mat = _whitened(q, p)
     b = solve_triangular(q._chol, p.mean - q.mean, lower=True)
     log_det = np.sum(np.log(np.diag(p._chol))) - np.sum(np.log(np.diag(q._chol)))
-    budget = len(out)
-    w, term = np.empty((2, min(budget, _BLOCK)))
+    draws = np.empty((min(budget, _BLOCK), p.dim))
+    gaps, w, term = np.empty((3, len(draws)))
+    mean = m2 = 0.0
     for start in range(0, budget, _BLOCK):
-        z = rng.standard_normal((min(_BLOCK, budget - start), p.dim))
-        gap, w_k, term_k = out[start:start + len(z)], w[:len(z)], term[:len(z)]
+        z = rng.standard_normal(out=draws[:budget - start])
+        k = len(z)
+        gap, w_k, term_k = gaps[:k], w[:k], term[:k]
         gap.fill(0.0)  # |z|^2 - |A z + b|^2, one coordinate at a time
         for i in range(p.dim):
             np.multiply(z[:, i], a_mat[i, i], out=w_k)
@@ -319,7 +341,13 @@ def _shortfall(
         np.exp(gap, out=gap)
         np.subtract(1.0, gap, out=gap)
         np.maximum(gap, 0.0, out=gap)
-    return out
+        block_mean = np.add.reduce(gap) / k
+        np.subtract(gap, block_mean, out=term_k)
+        block_m2 = np.add.reduce(np.square(term_k, out=term_k))
+        delta = block_mean - mean
+        mean += delta * (k / (start + k))
+        m2 += block_m2 + delta * delta * (start * k / (start + k))
+    return float(mean), float(m2 / budget)
 
 
 def _l1_kernel(log_a: float, log_b: float, c: float, s: float) -> float:

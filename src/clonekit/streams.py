@@ -38,18 +38,27 @@ def stream_key(seed: int, *path: int | str) -> np.ndarray:
     Path parts are ints or strings.  Bools are rejected: ``True == 1``, yet
     they would hash as ``"True"`` and ``"1"`` and give different streams.
     """
-    for part in path:
-        if isinstance(part, bool) or not isinstance(part, (int, str)):
-            raise TypeError(f"stream path parts must be int or str, got {type(part)!r}")
-    msg = repr((int(seed),) + tuple(path)).encode("utf-8")
-    return np.frombuffer(hashlib.sha256(msg).digest(), _KEY_DTYPE, count=2)
+    return _KeySeed(seed, path).key
 
 
 class _KeySeed(ISeedSequence):
-    """Seed sequence whose only state is a Philox key."""
+    """Seed sequence whose only state is the Philox key of ``(seed, *path)``.
 
-    def __init__(self, key: np.ndarray) -> None:
-        self.key = key
+    The key is hashed here, not in `stream_key`, so that `stream` makes one
+    Python call before Philox.  An exact-type test passes the common parts
+    before the slower ``isinstance`` checks.
+    """
+
+    def __init__(self, seed: int, path: tuple) -> None:
+        for part in path:
+            if type(part) is not int and type(part) is not str and (
+                isinstance(part, bool) or not isinstance(part, (int, str))
+            ):
+                raise TypeError(
+                    f"stream path parts must be int or str, got {type(part)!r}"
+                )
+        msg = repr((int(seed),) + path).encode()  # UTF-8
+        self.key = np.frombuffer(hashlib.sha256(msg).digest(), _KEY_DTYPE, 2)
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 2 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
@@ -65,5 +74,6 @@ def stream(seed: int, *path: int | str) -> np.random.Generator:
     docstring for why the key goes through `_KeySeed` and the counter is a
     shared zero array.
     """
-    key = _KeySeed(stream_key(seed, *path))
-    return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))
+    return np.random.Generator(
+        np.random.Philox(_KeySeed(seed, path), counter=_ZERO_COUNTER)
+    )

@@ -9,12 +9,15 @@ still has one.  The second installs the tracer and runs every CLI experiment
 and one `clone` call under it, so a result type that loses an attribute a
 counter reads fails here rather than in a traced benchmark run.  The third
 checks that the count-law loss alone, with no `clone`, charges time to each
-of its stage layers.
+of its stage layers.  The fourth checks that the Monte Carlo L1 route, which
+scores one side on a helper thread, reaches every hooked function from the
+main thread only: the tracer's span stack is single-threaded.
 """
 
 import importlib.util
 import json
 import math
+import threading
 from pathlib import Path
 
 import clonekit
@@ -136,3 +139,36 @@ def test_count_law_stages_carry_self_time():
     stages = ("lan.smoothed_score", "lawdist.mixture", "lawdist.l1", "cloner.rounding")
     idle = [layer for layer in stages if not times.get(layer, 0.0) > 0.0]
     assert idle == [], f"count-law stages with no self time: {idle}"
+
+
+def test_monte_carlo_reaches_hooks_only_on_the_main_thread():
+    # the tracer keeps one span stack, so a hooked function called from the
+    # Monte Carlo route's helper thread would corrupt it: record the thread
+    # of every call to every live hook target during one call
+    tracer = _load_tracer()
+    calls, saved = [], []
+
+    def recorder(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.current_thread()))
+            return original(*args, **kwargs)
+        return wrapper
+
+    for target, _, _ in tracer.HOOKS:
+        found = tracer._resolve(target)
+        if found is None:
+            continue
+        owner, name = found
+        original = vars(owner)[name] if isinstance(owner, type) else getattr(owner, name)
+        saved.append((owner, name, original))
+        setattr(owner, name, recorder(name, original))
+    try:
+        p = clonekit.GaussianShift([0.0, 0.0], [[2.0, 0.3], [0.3, 1.0]])
+        q = clonekit.GaussianShift([0.5, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        clonekit.tv_monte_carlo(p, q, 50_000, clonekit.stream(3, "hook-threads"))
+    finally:
+        for owner, name, original in reversed(saved):
+            setattr(owner, name, original)
+    assert {"_tv_monte_carlo", "stream"} <= {name for name, _ in calls}
+    off_main = [name for name, thread in calls if thread is not threading.main_thread()]
+    assert off_main == [], f"hooked calls off the main thread: {off_main}"

@@ -6,6 +6,7 @@ form of the 1-dof chi-square CDF, and a 10^6-sample Monte Carlo for m = 3.
 """
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -35,6 +36,12 @@ TV_2_1 = 0.3321281500
 TV_4_1 = 0.6453491377
 TV_2_3 = 0.6225444391
 TV_RATIO_REF = 0.3561675455  # r = 2/0.95, m = 1
+
+
+def _side_streams(rng):
+    """The p- and q-side streams that `tv_monte_carlo` derives from ``rng``."""
+    w = int(rng.integers(1 << 63))
+    return stream(w, "tv-mc", 0), stream(w, "tv-mc", 1)
 
 
 class TestChi2Cdf:
@@ -222,11 +229,12 @@ class TestTvNumeric:
     @pytest.mark.parametrize("r", [2, 4])
     def test_monte_carlo_matches_sample_space_reference(self, m, r):
         # the whitened-frame estimator against the sample-space formula on
-        # the same draws: p side then q side, four log densities
+        # the same draws: each side on its child stream, four log densities
         def reference(p, q, budget, rng):
-            xs = p.sample(budget, rng)
+            p_rng, q_rng = _side_streams(rng)
+            xs = p.sample(budget, p_rng)
             a = np.maximum(0.0, 1.0 - np.exp(q.log_density(xs) - p.log_density(xs)))
-            ys = q.sample(budget, rng)
+            ys = q.sample(budget, q_rng)
             b = np.maximum(0.0, 1.0 - np.exp(p.log_density(ys) - q.log_density(ys)))
             return a.mean() + b.mean(), math.sqrt(a.var() / budget + b.var() / budget)
 
@@ -281,8 +289,11 @@ class TestTvNumeric:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("budget", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
     def test_blocked_monte_carlo_equals_one_shot(self, m, budget):
-        # one (budget, m) draw per side through the same per-coordinate ops:
-        # drawing in blocks continues the stream, so the values agree exactly
+        # one (budget, m) draw per side, each from its child stream, through
+        # the same per-coordinate ops: drawing in blocks continues the stream,
+        # so the shortfalls agree exactly.  The moments are merged block by
+        # block rather than summed in numpy's one pairwise pass, so the two
+        # agree to rounding
         def one_shot(p, q, z):
             a_mat = np.column_stack(
                 [solve_triangular(q._chol, c, lower=True) for c in p._chol.T]
@@ -305,11 +316,12 @@ class TestTvNumeric:
         s, t = (g @ g.T + 0.3 * np.eye(m) for g in rng.standard_normal((2, m, m)))
         p = GaussianShift(rng.standard_normal(m), 2 * s)
         q = GaussianShift(rng.standard_normal(m), t)
-        draws = stream(16, "blocked-mc", m, budget)
-        a = one_shot(p, q, draws.standard_normal((budget, m)))
-        b = one_shot(q, p, draws.standard_normal((budget, m)))
-        expected = (float(a.mean() + b.mean()), math.sqrt(a.var() / budget + b.var() / budget))
-        assert tv_monte_carlo(p, q, budget, stream(16, "blocked-mc", m, budget)) == expected
+        p_rng, q_rng = _side_streams(stream(16, "blocked-mc", m, budget))
+        a = one_shot(p, q, p_rng.standard_normal((budget, m)))
+        b = one_shot(q, p, q_rng.standard_normal((budget, m)))
+        value, se = tv_monte_carlo(p, q, budget, stream(16, "blocked-mc", m, budget))
+        assert value == pytest.approx(float(a.mean() + b.mean()), rel=1e-13)
+        assert se == pytest.approx(math.sqrt(a.var() / budget + b.var() / budget), rel=1e-13)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_whitening_solves_take_vector_right_hand_sides(self, monkeypatch, m):
@@ -355,9 +367,10 @@ class TestTvNumeric:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_monte_carlo_holds_one_buffer(self, m):
-        # the two sides take turns in one budget-sized buffer and their
-        # moments are taken in place, where ndarray.var() would allocate a
-        # second one; the block draws and scratch add 7-13%
+        # no budget-sized buffer: each side holds one block of m draws and
+        # three block-sized scratch rows, and merges its moments block by
+        # block, so the peak does not grow with the budget (one float per
+        # draw of a side would be 8 MB here)
         budget = 1_000_000
         p = GaussianShift(np.zeros(m), 2.0 * np.eye(m))
         q = GaussianShift(np.full(m, 0.5), np.eye(m))
@@ -367,7 +380,57 @@ class TestTvNumeric:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * 8 * budget
+        assert peak < 2 * (m + 4) * 8 * _BLOCK
+
+
+class TestMonteCarloSides:
+    """The p side runs in the calling thread and the q side on a helper."""
+
+    @staticmethod
+    def _pair(m):
+        rng = stream(23, "two-sides", m)
+        s, t = (g @ g.T + 0.3 * np.eye(m) for g in rng.standard_normal((2, m, m)))
+        return (GaussianShift(rng.standard_normal(m), 2 * s),
+                GaussianShift(rng.standard_normal(m), t))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("budget", [1, 3 * _BLOCK + 5])
+    def test_threaded_equals_sides_in_turn(self, m, budget):
+        # each side is a function of its own stream, so running the q side on
+        # another thread changes no bit
+        p, q = self._pair(m)
+        p_rng, q_rng = _side_streams(stream(24, "two-sides", m))
+        mean_a, var_a = gaussian._shortfall(p, q, p_rng, budget)
+        mean_b, var_b = gaussian._shortfall(q, p, q_rng, budget)
+        expected = (float(mean_a + mean_b), math.sqrt(var_a / budget + var_b / budget))
+        assert tv_monte_carlo(p, q, budget, stream(24, "two-sides", m)) == expected
+
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_side_error_propagates_and_helper_is_joined(self, monkeypatch, side):
+        p, q = self._pair(2)
+        failing_law = p if side == "p" else q
+        shortfall = gaussian._shortfall
+
+        def failing(a, b, rng, budget):
+            if a is failing_law:
+                raise RuntimeError(f"{side} side failed")
+            return shortfall(a, b, rng, budget)
+
+        monkeypatch.setattr(gaussian, "_shortfall", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{side} side failed"):
+            tv_monte_carlo(p, q, 10 * _BLOCK, stream(25, "side-error"))
+        assert threading.active_count() == before
+
+    def test_rng_advance_does_not_depend_on_budget(self):
+        # the caller's generator gives one integer, whatever the budget
+        p, q = self._pair(1)
+        small, large = stream(26, "advance"), stream(26, "advance")
+        tv_monte_carlo(p, q, 1, small)
+        tv_monte_carlo(p, q, 100_000, large)
+        assert small.integers(1 << 63, size=4).tolist() == large.integers(
+            1 << 63, size=4
+        ).tolist()
 
 
 class TestDataTypes:
