@@ -34,8 +34,10 @@ The output count law has two routes:
   is a one-dimensional sum over the exact law of S2 of the smoothed rounding
   weights ``E[tent(T - k)]``, in closed form (`_count_law`).  S2 values
   ``n2 / gcd(rn, n2)`` apart have targets exactly ``rn / gcd(rn, n2)``
-  cells apart, so one row of weights per residue serves all of them,
-  placed by an exact integer shift.
+  cells apart, so one row of weights per residue serves all of them, and
+  each residue class adds up as that row convolved with a comb of its
+  masses: a polyphase filter, one small matrix product per class, with
+  the cells past the statistic bounds folded into the end cells once.
 - `clone_loss_discrete` estimates it by Monte Carlo and is the reference
   that the exact route is tested against.  Stages 2-3 read only the sum S2
   of the n2 scoring draws, and by the cancellation stage 1 changes nothing,
@@ -90,7 +92,7 @@ _BOOTSTRAP_CAP = 10**6
 # the exact route bands each statistic value to this many standard
 # deviations of the smoothing noise (the normal tail beyond is below 1e-32),
 # drops statistic mass below `_MASS_FLOOR`, and assembles the law in blocks
-# of about `_BLOCK_CELLS` (row, cell) weights
+# of representatives whose products hold about `_BLOCK_CELLS` cell weights
 _BAND_SD = 12.0
 _MASS_FLOOR = 1e-17
 _BLOCK_CELLS = 1 << 14
@@ -108,6 +110,8 @@ class ClonerConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, (int, np.integer)):
+            raise ConfigurationError(f"n must be an integer, got {self.n!r}")
         if not self.n >= 2:
             raise ConfigurationError("n must be at least 2")
         if not 0.0 < self.delta < 1.0:
@@ -443,12 +447,25 @@ def _count_law(family: Family, theta: float, cfg: ClonerConfig,
     same weight row, shifted.  So only the first kept value ``s`` of each
     residue modulo ``period`` (keyed by value, so the kept support need not
     be consecutive) is scored by `smoothed_score` and weighted, and the
-    value ``s + a period`` reuses that row ``a step`` cells on: an integer
-    shift, with no rounding.  With ``period`` at least the kept count, each
-    value is its own representative.  The representatives' rows and the
-    weights scattered from them are built ``_BLOCK_CELLS`` at a time (one
-    band at least), and a band or a law span over `Family.require_cells`'
-    cap is refused before it is allocated.
+    value ``s + a period`` (tooth ``a``) reuses that row ``a step`` cells
+    on: an integer shift, with no rounding.  With ``period`` at least the
+    kept count, each value is its own representative.
+
+    A class then adds up as its row convolved with a comb that holds the
+    mass of tooth ``a`` ``a step`` cells on (zero where the kept support
+    has a gap), assembled as a polyphase filter: with ``inner = min(step,
+    width)`` and the row cut into ``n_q = ceil(width / inner)`` phases
+    ``row[q step + s]``, ``s < inner`` (zero past the band), cell ``k step
+    + s`` past the representative's first cell gets ``sum_q comb[k - q]
+    row[q step + s]``, one ``(teeth x n_q) @ (n_q x inner)`` product over a
+    sliding window of the comb.  These are the products of one placed row
+    per value, added in another order.  They are scattered once onto an
+    extended range that holds every cell written, and the cells past
+    `Family.stat_bounds` are then summed into the end cells.
+    Representatives go in blocks whose product holds about
+    ``_BLOCK_CELLS`` cells (one representative at least), so memory stays
+    flat when every value is its own representative.  A band or a law span
+    over `Family.require_cells`' cap is refused before it is allocated.
     """
     n2 = cfg.n2 if theta_hat is None else cfg.n
     rn = cfg.rn
@@ -479,28 +496,38 @@ def _count_law(family: Family, theta: float, cfg: ClonerConfig,
     centre = smoothed_score(family, theta, n2, rn, cfg.epsilon,
                             s2[first].astype(float), None)[2]
     rep_base = np.floor(centre).astype(np.int64) - half  # first cell of each
-    shift = (s2 - s2[first[rep]]) // period * step
-    base = rep_base[rep] + shift  # each row's first cell
+    teeth = (s2 - s2[first[rep]]) // period  # S2 = s2[first[rep]] + teeth period
+    shift = teeth * step
+    base = rep_base[rep] + shift  # each value's first cell
     lo_k = int(max(lo, base.min()))
     hi_k = int(min(hi, base.max() + width - 1))
     family.require_cells(hi_k - lo_k + 1, rn)  # the law's span
-    law = np.zeros(hi_k - lo_k + 1)
-    offsets = np.arange(width)
-    rows = max(1, _BLOCK_CELLS // width)
-    # rows grouped by representative, so the rows of a block of
-    # representatives are one run of `order`
-    order = np.argsort(rep, kind="stable")
-    runs = np.searchsorted(rep[order], np.arange(0, centre.size + rows, rows))
-    for block, start in enumerate(range(0, centre.size, rows)):
-        owners = slice(start, start + rows)
-        cells = rep_base[owners, None] + offsets
-        table = _smoothed_tent(centre[owners, None] - cells, sd)
-        members = order[runs[block]:runs[block + 1]]
-        for at in range(0, members.size, rows):
-            chunk = members[at:at + rows]
-            weights = table[rep[chunk] - start] * mass[chunk, None]
-            index = np.clip(base[chunk, None] + offsets, lo, hi).astype(np.int64) - lo_k
-            law += mixture_pmf(index.ravel(), weights.ravel(), law.size, 1)
+    inner = min(step, width)
+    n_q = -(-width // inner)
+    span = int(teeth.max()) + n_q  # teeth k that a representative reaches
+    comb = np.zeros((centre.size, span + n_q - 1))  # n_q - 1 zeros at each end
+    comb[rep, teeth + n_q - 1] = mass
+    # windows[r, k, j] = comb[r, k + j - (n_q - 1)], so the phases go reversed
+    windows = np.lib.stride_tricks.sliding_window_view(comb, n_q, axis=1)
+    offsets = np.arange(span)[:, None] * step + np.arange(inner)
+    # an extended range that holds every cell written, zeros included
+    ext_lo = int(rep_base.min())
+    ext = np.zeros(int(rep_base.max()) - ext_lo + (span - 1) * step + inner)
+    reps = max(1, _BLOCK_CELLS // (span * inner))
+    for start in range(0, centre.size, reps):
+        owners = slice(start, start + reps)
+        rows = _smoothed_tent(
+            centre[owners, None] - (rep_base[owners, None] + np.arange(width)), sd)
+        phases = np.zeros((rows.shape[0], n_q * inner))
+        phases[:, :width] = rows
+        weights = windows[owners] @ phases.reshape(-1, n_q, inner)[:, ::-1]
+        index = (rep_base[owners, None, None] - ext_lo) + offsets
+        ext += mixture_pmf(index.ravel(), weights.ravel(), ext.size, 1)
+    # fold the cells past the statistic bounds into the end cells; the
+    # cells past the bands hold zeros, so folding them changes nothing
+    law = ext[lo_k - ext_lo:hi_k - ext_lo + 1].copy()
+    law[0] += ext[:lo_k - ext_lo].sum()
+    law[-1] += ext[hi_k - ext_lo + 1:].sum()
     row_centre = centre[rep] + shift
     outside = ndtr((lo - row_centre) / sd) + ndtr((row_centre - hi) / sd)
     return _from_cell(lo_k, law), float(mass @ outside)

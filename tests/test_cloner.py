@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -69,6 +70,17 @@ class TestConfig:
         kwargs = dict(n=10, r=2.0, delta=0.1, epsilon=0.01, seed=1)
         with pytest.raises(ConfigurationError, match=field):
             ClonerConfig(**{**kwargs, field: value})
+
+    @pytest.mark.parametrize("n", [400.5, 400.0])
+    def test_non_integer_n_rejected(self, n):
+        # 400.5 gave n2 = 379.5 and 400.0 gave n2 = 380.0, and
+        # `clone_loss_exact` then died with TypeError in math.gcd
+        with pytest.raises(ConfigurationError, match="n must be an integer"):
+            ClonerConfig(n=n, r=2.0, delta=0.05, epsilon=0.01, seed=1)
+
+    def test_numpy_integer_n_accepted(self):
+        cfg = ClonerConfig(n=np.int64(400), r=2.0, delta=0.05, epsilon=0.01, seed=1)
+        assert (cfg.n2, cfg.rn) == (380, 800)
 
 
 class TestEstimateTheta:
@@ -591,11 +603,13 @@ def _pearson_pvalue(counts, expected):
     return float(chdtrc(int(keep.sum()), stat))
 
 
-def _per_row_count_law(family, theta, cfg, theta_hat=None):
+def _per_row_count_law(family, theta, cfg, theta_hat=None, rows=256):
     """`_count_law` at epsilon > 0 with one `_smoothed_tent` row per S2 value.
 
     Each row is placed and weighted at its own `smoothed_score` centre, with
-    no rows shared; returns the law on its cells and the clip rate.
+    no rows shared, and clipped into `Family.stat_bounds` cell by cell; the
+    rows are added ``rows`` at a time, so large n stays small in memory.
+    Returns the law on its cells and the clip rate.
     """
     n2 = cfg.n2 if theta_hat is None else cfg.n
     s_law = family.stat_pmf(theta, n2)
@@ -605,12 +619,17 @@ def _per_row_count_law(family, theta, cfg, theta_hat=None):
                             s_law.support[keep].astype(float), None)[2]
     sd = cfg.rn * math.sqrt(cfg.epsilon / n2)
     half = math.ceil(cloner._BAND_SD * sd) + 1
-    cells = np.floor(centre).astype(np.int64)[:, None] - half + np.arange(2 * half + 2)
-    weights = _smoothed_tent(centre[:, None] - cells, sd) * mass[:, None]
+    start = np.floor(centre).astype(np.int64) - half
     lo, hi = family.stat_bounds(cfg.rn)
-    cells = np.clip(cells, lo, hi).astype(np.int64)
-    first = int(cells.min())
-    pmf = np.bincount((cells - first).ravel(), weights.ravel())
+    first = int(min(max(lo, start.min()), hi))
+    last = int(max(min(hi, start.max() + 2 * half + 1), lo))
+    pmf = np.zeros(last - first + 1)
+    for at in range(0, centre.size, rows):
+        cells = start[at:at + rows, None] + np.arange(2 * half + 2)
+        weights = (_smoothed_tent(centre[at:at + rows, None] - cells, sd)
+                   * mass[at:at + rows, None])
+        index = np.clip(cells, lo, hi).astype(np.int64) - first
+        pmf += np.bincount(index.ravel(), weights.ravel(), minlength=pmf.size)
     outside = ndtr((lo - centre) / sd) + ndtr((centre - hi) / sd)
     return EmpiricalLaw(np.arange(first, first + pmf.size), pmf), float(mass @ outside)
 
@@ -654,6 +673,61 @@ class TestExactCountLaw:
         np.testing.assert_allclose(_law_on(law, cells), _law_on(reference, cells),
                                    rtol=0, atol=1e-15)
         assert math.isclose(clip_rate, reference_clip, rel_tol=1e-12, abs_tol=0.0)
+
+    # (family, theta, cfg): every value its own representative (gcd 1); the
+    # gate's Poisson n = 1600 (period 19, step 40, n_q = 6 phases of a
+    # 202-cell band); targets pushed past both ends
+    @pytest.mark.parametrize("family,theta,cfg", [
+        (Bernoulli(), 0.3, ClonerConfig(n=101, r=2.0, delta=0.05, epsilon=0.01, seed=1)),
+        (Poisson(), 2.0, ClonerConfig(n=1600, r=2.0, delta=0.05, epsilon=0.01, seed=1)),
+        (Bernoulli(), 0.5, ClonerConfig(n=3, r=2.0, delta=0.4, epsilon=5.0, seed=44)),
+    ], ids=["bernoulli-101", "poisson-1600", "bernoulli-clip"])
+    @pytest.mark.parametrize("block_cells", [1, 64])
+    def test_blocking_does_not_change_the_law(self, monkeypatch, family, theta, cfg,
+                                              block_cells):
+        law, clip_rate = _count_law(family, theta, cfg)
+        monkeypatch.setattr(cloner, "_BLOCK_CELLS", block_cells)
+        blocked, blocked_clip = _count_law(family, theta, cfg)
+        np.testing.assert_array_equal(blocked.support, law.support)
+        np.testing.assert_allclose(blocked.mass, law.mass, rtol=0, atol=1e-15)
+        assert math.isclose(blocked_clip, clip_rate, rel_tol=1e-12, abs_tol=0.0)
+
+    # the gate's split and smoothing at n = 102 400: 7 072 kept values in 19
+    # residue classes of up to 373 teeth, each band 1 580 cells
+    _LARGE_N = (Poisson(), 2.0,
+                ClonerConfig(n=102_400, r=2.0, delta=0.05, epsilon=0.01, seed=1))
+
+    def test_large_n_matches_per_row_weights(self):
+        family, theta, cfg = self._LARGE_N
+        law, clip_rate = _count_law(family, theta, cfg)
+        reference, reference_clip = _per_row_count_law(family, theta, cfg)
+        cells = np.arange(min(law.support[0], reference.support[0]),
+                          max(law.support[-1], reference.support[-1]) + 1)
+        np.testing.assert_allclose(_law_on(law, cells), _law_on(reference, cells),
+                                   rtol=0, atol=1e-15)
+        assert math.isclose(clip_rate, reference_clip, rel_tol=1e-12, abs_tol=0.0)
+
+    # tracemalloc peak of one `_count_law` call at `_LARGE_N`, its statistic
+    # law built beforehand and handed back by `stat_pmf` (building it peaks at
+    # 6.6 MB over 200 767 cells, which would hide the assembly), after one
+    # warm-up call, under the chunked gather-clip-scatter assembly that the
+    # polyphase product replaced (numpy 2.4.6, Python 3.11.7): 1 865 137
+    # bytes, the same on three calls.
+    _LARGE_N_PEAK_BYTES = 1_865_137
+
+    def test_large_n_peak_memory(self, monkeypatch):
+        _, theta, cfg = self._LARGE_N
+        family = Poisson()
+        s_law = family.stat_pmf(theta, cfg.n2)
+        monkeypatch.setattr(family, "stat_pmf", lambda theta, n: s_law)
+        _count_law(family, theta, cfg)
+        tracemalloc.start()
+        try:
+            _count_law(family, theta, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * self._LARGE_N_PEAK_BYTES
 
     @pytest.mark.parametrize("family,theta", [(Bernoulli(), 0.3), (Poisson(), 0.7)],
                              ids=["bernoulli", "poisson"])
