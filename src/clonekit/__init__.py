@@ -50,13 +50,11 @@ from .gaussian import (
 )
 from .lan import (
     CouplingReport,
-    ExceedanceReport,
     dqm_residual,
     lan_residual_rate,
     loglik_ratio,
     quantile_coupling,
     score_process,
-    wilson_interval,
 )
 from .lawdist import EmpiricalLaw
 from .streams import stream, stream_key

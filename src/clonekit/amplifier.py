@@ -68,7 +68,8 @@ def amplifier_loss_mc(
     for h in grid:
         if h.shape != (m,):
             raise ConfigurationError(f"shift shape {h.shape} does not match dim {m}")
-        amplified = GaussianShift(math.sqrt(r) * h, r * sigma)
+        with np.errstate(over="ignore"):  # GaussianShift refuses an inf entry
+            amplified = GaussianShift(math.sqrt(r) * h, r * sigma)
         target = GaussianShift(math.sqrt(r) * h, sigma)
         if method == "quadrature":
             results.append((tv_quadrature(amplified, target), 0.0))

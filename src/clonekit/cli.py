@@ -310,18 +310,18 @@ def _run_minimax_probe(cfg: ExperimentConfig):
 
 def _run_lan_diag(cfg: ExperimentConfig):
     v = cfg.values
-    report = lan.lan_residual_rate(
-        _family_from(v), v["theta"], v["h"], v["n_grid"], v["threshold"], v["reps"],
-        cfg.seed,
+    # reps is checked but unused, as in clone-sim: the probability is exact,
+    # so both wilson columns hold it and the reps column echoes the key
+    cloner.check_replicates(v["reps"], least=1)
+    probs = lan.lan_residual_rate(
+        _family_from(v), v["theta"], v["h"], v["n_grid"], v["threshold"],
     )
     rows = [
         {
             "n": n, "threshold": v["threshold"], "exceed_prob": prob,
-            "wilson_low": lo, "wilson_high": hi, "reps": v["reps"],
+            "wilson_low": prob, "wilson_high": prob, "reps": v["reps"],
         }
-        for n, prob, lo, hi in zip(
-            v["n_grid"], report.exceed_prob, report.wilson_low, report.wilson_high
-        )
+        for n, prob in zip(v["n_grid"], probs)
     ]
     return rows, True
 
@@ -364,10 +364,11 @@ def _fmt_value(v) -> str:
 
 
 def _version_string() -> str:
-    try:
+    try:  # in the package's own directory, not the caller's
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True, text=True, timeout=5,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
         )
         if out.returncode == 0 and out.stdout.strip():
             return out.stdout.strip()
@@ -439,9 +440,14 @@ def _render_json(
         "version": _version_string(),
         "partial": partial,
         "wall_clock_s": wall_clock,
-        "results": rows,
+        # JSON has no NaN or infinity: a non-finite value is written as null
+        "results": [
+            {key: None if isinstance(value, float) and not math.isfinite(value)
+             else value for key, value in row.items()}
+            for row in rows
+        ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:

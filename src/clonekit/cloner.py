@@ -38,8 +38,9 @@ The output count law has two routes:
   each residue class adds up as that row convolved with a comb of its
   masses: a polyphase filter, one small matrix product per class, with
   the cells past the statistic bounds folded into the end cells once.
-- `clone_loss_discrete` estimates it by Monte Carlo and is the reference
-  that the exact route is tested against.  Stages 2-3 read only the sum S2
+- `clone_loss_discrete` estimates it by Monte Carlo.  No CLI experiment
+  takes it: it is the reference that the exact route is tested against,
+  and the acceptance gate's loss route.  Stages 2-3 read only the sum S2
   of the n2 scoring draws, and by the cancellation stage 1 changes nothing,
   so each replicate is drawn as (S2, Z) from the statistic law and the
   smoothing noise, all replicates at once, and scored at the truth.  It
@@ -71,7 +72,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 from scipy.special import ndtr
 
 from .errors import ConfigurationError
@@ -83,9 +83,9 @@ logger = logging.getLogger(__name__)
 
 _CLIP_ALARM = 0.05
 
-# replicates (and bootstrap resamples) per Monte Carlo call, here and in
-# `lan`: a replicate holds about 100 bytes of arrays, so the cap keeps a
-# call near 1 GB
+# replicates (and bootstrap resamples) per `clone_loss_discrete` call: a
+# replicate holds about 100 bytes of arrays, so the cap keeps a call near
+# 1 GB
 _REPS_CAP = 10**7
 _BOOTSTRAP_CAP = 10**6
 
@@ -123,6 +123,8 @@ class ClonerConfig:
         if not 1.0 <= self.r < math.inf:
             raise ConfigurationError(f"clone ratio r must lie in [1, inf), got {self.r}")
         rn = self.r * self.n
+        if not math.isfinite(rn):
+            raise ConfigurationError(f"clone ratio r = {self.r} makes r * n = {rn}")
         if abs(rn - round(rn)) > 1e-9:
             raise ConfigurationError(f"r * n = {rn} is not an integer")
         if self.n1 < 1 or self.n2 < 1:
@@ -282,15 +284,17 @@ def _rounding_atoms(family: Family, rn: int, target: np.ndarray) -> tuple[
 
 
 def _replicate_atoms(family: Family, theta: float, cfg: ClonerConfig, reps: int,
-                     label: str = "", theta_hat: float | None = None):
+                     theta_hat: float | None = None):
     """Rounding pmfs of ``reps`` replicates drawn at the statistic level.
 
-    One stream per call, keyed by ``(seed, "clone-loss", family, label, n)``,
+    One stream per call, keyed by ``(seed, "clone-loss", family, "", n)``,
     drawn in a fixed order: all S2, then all Z.  The targets are
     `smoothed_score`'s at the truth, since the estimate cancels from them
     (the module docstring); ``theta_hat`` only makes S2 sum all n draws.
     """
-    rng = stream(cfg.seed, "clone-loss", family.name, label, cfg.n)
+    # the empty slot, where a per-shift label used to go, keeps every
+    # draw at each seed where it was
+    rng = stream(cfg.seed, "clone-loss", family.name, "", cfg.n)
     n2 = cfg.n2 if theta_hat is None else cfg.n
     s2 = family.sample_stat(theta, n2, reps, rng)
     z = rng.standard_normal(reps) if cfg.epsilon > 0.0 else None
@@ -304,7 +308,6 @@ def clone_loss_discrete(
     cfg: ClonerConfig,
     reps: int,
     bootstrap: int = 200,
-    label: str = "",
     theta_hat: float | None = None,
 ) -> CloneLossReport:
     """Monte Carlo L1 loss of the cloner, Rao-Blackwellized over rounding.
@@ -322,7 +325,7 @@ def clone_loss_discrete(
 
     Each replicate draws S2 ~ law of S over n2 draws and then, for epsilon
     > 0, Z ~ N(0, 1), all replicates of the call at once on one stream keyed
-    by ``(seed, "clone-loss", family, label, n)``, so replicates at different
+    by ``(seed, "clone-loss", family, "", n)``, so replicates at different
     n draw from different streams.  Each replicate contributes its two-atom
     rounding pmf instead of a sampled count, which strictly reduces the
     variance of the plug-in estimate.  The confidence interval is Efron's
@@ -340,7 +343,7 @@ def clone_loss_discrete(
     if theta_hat is not None:
         family.require_in_domain(theta_hat)
     target_law = family.stat_pmf(theta, cfg.rn)  # refuses an oversized law before any draw
-    atoms, weights, clipped = _replicate_atoms(family, theta, cfg, reps, label, theta_hat)
+    atoms, weights, clipped = _replicate_atoms(family, theta, cfg, reps, theta_hat)
     lo_k = int(min(atoms.min(), target_law.support.min()))
     hi_k = int(max(atoms.max(), target_law.support.max()))
     target_vec = _on_cells(target_law, lo_k, hi_k)
@@ -349,7 +352,7 @@ def clone_loss_discrete(
 
     ci_low, ci_high = _bootstrap_ci(
         index, weights, target_vec, reps, bootstrap,
-        stream(cfg.seed, "clone-loss-boot", family.name, label),
+        stream(cfg.seed, "clone-loss-boot", family.name, ""),  # the same slot
     )
     return _loss_report("clone_loss_discrete", loss, ci_low, ci_high,
                         float(clipped.mean()))
@@ -359,10 +362,9 @@ def check_replicates(reps: int, bootstrap: int = 0, least: int = 2) -> None:
     """Refuse a replicate or resample count outside what a Monte Carlo call runs.
 
     Checked before anything is drawn or allocated.  ``least`` is the
-    fewest replicates the caller can use; the cap holds for every Monte
-    Carlo replicate count (`clonekit.lan.lan_residual_rate` checks here
-    too).  The CLI checks the clone-sim and minimax-probe keys here,
-    although their exact route draws nothing.
+    fewest replicates the caller can use.  The CLI checks the reps (and
+    bootstrap) keys of clone-sim, minimax-probe and lan-diag here too,
+    although their exact routes draw nothing.
     """
     if reps < least:
         raise ConfigurationError(f"reps must be at least {least}, got {reps}")
@@ -567,21 +569,16 @@ def pmf_l1(p: np.ndarray, q: np.ndarray) -> float:
 def _bootstrap_ci(index, weights, target_vec, reps, bootstrap, rng):
     """Efron's 95% percentile interval of the loss over ``bootstrap`` resamples.
 
-    A resample weights replicate i by its count among ``reps`` uniform picks.
-    The weighted atoms are one sparse (cells, reps) matrix, each row in atom
-    order, so a resample is one product that sums each cell in `np.bincount`'s
-    order: the losses equal a per-resample `mixture_pmf` and `pmf_l1` bit for bit.
+    A resample weights replicate i by its count among ``reps`` uniform picks,
+    and its loss is that reweighted `mixture_pmf`'s `pmf_l1` to the target.
     """
     if bootstrap == 0:
         return math.nan, math.nan
-    order = np.argsort(index, kind="stable")
-    row_ptr = np.concatenate(([0], np.cumsum(np.bincount(index, minlength=target_vec.size))))
-    atoms = sparse.csr_matrix((weights.ravel()[order], order // 2, row_ptr),
-                              shape=(target_vec.size, reps))
     losses = np.empty(bootstrap)
     for b in range(bootstrap):
         mult = np.bincount(rng.integers(0, reps, reps), minlength=reps)
-        losses[b] = np.abs(atoms @ mult / reps - target_vec).sum()
+        pmf = mixture_pmf(index, (weights * mult[:, None]).ravel(), target_vec.size, reps)
+        losses[b] = pmf_l1(pmf, target_vec)
     return float(np.quantile(losses, 0.025)), float(np.quantile(losses, 0.975))
 
 
@@ -599,15 +596,12 @@ def local_minimax_probe(
     a: float,
     h_grid,
     cfg: ClonerConfig,
-    reps: int | None = None,
 ) -> MinimaxProbeReport:
     """Loss at every parameter ``theta + h / sqrt(n)`` with |h| <= a, and the sup.
 
-    ``reps = None`` takes each loss from `clone_loss_exact`; a replicate
-    count takes it from `clone_loss_discrete`, on the stream labelled by
-    the shift's grid index.  The supremum over a grid can only grow when
-    the grid grows, matching the monotone bounded-shift behaviour of the
-    limit experiment.
+    Each loss is `clone_loss_exact`'s.  The supremum over a grid can only
+    grow when the grid grows, matching the monotone bounded-shift behaviour
+    of the limit experiment.
     """
     if not a >= 0:
         raise ConfigurationError(f"neighbourhood radius a must be nonnegative, got {a}")
@@ -615,15 +609,12 @@ def local_minimax_probe(
     if not hs:
         raise ConfigurationError("empty shift grid h_grid")
     reports = []
-    for i, h in enumerate(hs):
+    for h in hs:
         if abs(h) > a + 1e-12:
             raise ConfigurationError(f"grid point {h} outside |h| <= {a}")
         shifted = theta + h / math.sqrt(cfg.n)
         family.require_in_domain(shifted)
-        reports.append(
-            clone_loss_exact(family, shifted, cfg) if reps is None
-            else clone_loss_discrete(family, shifted, cfg, reps, label=f"h{i}")
-        )
+        reports.append(clone_loss_exact(family, shifted, cfg))
     return MinimaxProbeReport(
         losses=tuple(reports), sup_loss=max(rep.loss for rep in reports)
     )

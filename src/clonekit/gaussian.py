@@ -76,6 +76,8 @@ class GaussianShift:
             raise ConfigurationError(f"dimension m must be at least 1, got {m}")
         if cov.shape != (m, m):
             raise ConfigurationError(f"cov shape {cov.shape} does not match dim {m}")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ConfigurationError("mean and covariance entries must be finite")
         scale = max(1.0, float(np.abs(cov).max()))
         if np.abs(cov - cov.T).max() > 1e-12 * scale:
             raise ConfigurationError("covariance is not symmetric within 1e-12")
@@ -135,7 +137,8 @@ def crossing_radius_sq(r: float, m: int) -> float:
         raise ConfigurationError(f"dimension m must be a positive integer, got {m}")
     if not r > 1.0:
         raise ConfigurationError(f"crossing radius requires r > 1, got {r}")
-    return m * r * math.log(r) / (r - 1.0)
+    # r / (r - 1) first: r ln(r) overflows for r past about 3e305
+    return m * math.log(r) * (r / (r - 1.0))
 
 
 def tv_isotropic(r: float, m: int) -> float:

@@ -7,10 +7,11 @@ theta over n i.i.d. draws is approximated by the quadratic form
 
 where ``score_sum`` is the normalized score process and J the Fisher
 information.  The routines here measure how fast that approximation takes
-hold: exceedance probabilities of the expansion residual, the quadratic-mean
-differentiability defect, and a one-dimensional quantile coupling of the
-score process with its Gaussian limit.  The noise-smoothed score that the
-cloner amplifies is `clonekit.cloner.smoothed_score`.
+hold: the exceedance probability of the expansion residual (an exact sum
+over the statistic law), the quadratic-mean differentiability defect, and a
+one-dimensional quantile coupling of the score process with its Gaussian
+limit.  The noise-smoothed score that the cloner amplifies is
+`clonekit.cloner.smoothed_score`.
 
 Results hold only what their call computed: `loglik_ratio` returns the pair
 ``(exact, quadratic)``, `dqm_residual` one defect per step size, and the
@@ -30,25 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .cloner import check_replicates
 from .errors import ConfigurationError
 from .families import Family
-from .streams import stream
-
-_Z95 = 1.959963984540054
 
 # coupling levels: each holds a few float arrays of that length, so the cap
 # keeps a call under about half a GB
 _RESOLUTION_CAP = 10**7
-
-
-@dataclass(frozen=True)
-class ExceedanceReport:
-    """Residual exceedance probabilities per sample size, with 95% Wilson CIs."""
-
-    exceed_prob: tuple[float, ...]
-    wilson_low: tuple[float, ...]
-    wilson_high: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -63,19 +51,6 @@ class CouplingReport:
 
     deviation_measure: tuple[float, ...]
     sup_deviation: tuple[float, ...]
-
-
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval; keeps coverage for probabilities near 0."""
-    if trials <= 0:
-        raise ConfigurationError("trials must be positive")
-    p = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
-    lo = 0.0 if successes == 0 else max(0.0, center - half)
-    hi = 1.0 if successes == trials else min(1.0, center + half)
-    return lo, hi
 
 
 def score_process(family: Family, theta: float, data: np.ndarray) -> float:
@@ -109,43 +84,36 @@ def loglik_ratio(
 
 
 def lan_residual_rate(
-    family: Family,
-    theta: float,
-    h: float,
-    n_grid,
-    threshold: float,
-    reps: int,
-    seed: int,
-) -> ExceedanceReport:
-    """Monte Carlo residual exceedance probability per sample size in ``n_grid``.
+    family: Family, theta: float, h: float, n_grid, threshold: float
+) -> tuple[float, ...]:
+    """Residual exceedance probability for each sample size in ``n_grid``.
 
-    The exact and the quadratic log likelihood ratio are both functions of
-    the statistic S (`Family.loglr_from_stat`, `Family.score_from_stat`), so
-    each replicate is one draw of S: per n, ``reps`` draws on the stream
-    keyed by ``(seed, "lan-residual", family, n index)``.
-
-    The per-n trend is reported, not enforced: single runs can wiggle, the
-    monotone decrease is asserted by the calling tests at their chosen reps.
+    The exact and the quadratic log likelihood ratio are both affine in the
+    statistic S (`Family.loglr_from_stat`, `Family.score_from_stat`), so
+    ``P(|exact - quadratic| > threshold)`` is the sum of ``P(S = s)`` over
+    the support of `Family.stat_pmf` where the residual exceeds the
+    threshold: exact, with no sampling.  For the continuous built-in, the
+    Gaussian location family, the expansion is exact and every probability
+    is 0.
     """
-    check_replicates(reps, least=1)
     if not threshold >= 0:
         raise ConfigurationError(f"threshold must be nonnegative, got {threshold}")
     n_grid = _sample_sizes(n_grid)
+    family.require_in_domain(theta)
     j = family.fisher(theta)
-    probs, lows, highs = [], [], []
-    for gi, n in enumerate(n_grid):
-        rng = stream(seed, "lan-residual", family.name, gi)
-        stat = family.sample_stat(theta, n, reps, rng)
-        exact = family.loglr_from_stat(theta, theta + h / math.sqrt(n), n, stat)
+    probs = []
+    for n in n_grid:
+        shifted = theta + h / math.sqrt(n)
+        family.require_in_domain(shifted)
+        if not family.discrete:
+            probs.append(0.0)
+            continue
+        law = family.stat_pmf(theta, n)
+        stat = law.support.astype(float)
+        exact = family.loglr_from_stat(theta, shifted, n, stat)
         quad = h * family.score_from_stat(theta, n, stat) - 0.5 * h * h * j
-        exceed = int(np.count_nonzero(np.abs(exact - quad) > threshold))
-        lo, hi = wilson_interval(exceed, reps)
-        probs.append(exceed / reps)
-        lows.append(lo)
-        highs.append(hi)
-    return ExceedanceReport(
-        exceed_prob=tuple(probs), wilson_low=tuple(lows), wilson_high=tuple(highs)
-    )
+        probs.append(float(law.mass[np.abs(exact - quad) > threshold].sum()))
+    return tuple(probs)
 
 
 def dqm_residual(family: Family, theta: float, h_grid) -> tuple[float, ...]:

@@ -2,6 +2,8 @@
 
 import json
 import math
+import shutil
+import subprocess
 import tracemalloc
 
 import pytest
@@ -15,6 +17,7 @@ from clonekit.cli import (
     main,
     resolve_config,
 )
+from clonekit.cli import _version_string
 
 TV_2_1 = 0.3321281500
 
@@ -150,6 +153,48 @@ class TestJsonFormat:
         assert doc["config"]["epsilon_dev"] == "0.2"
         assert "wall_clock_s" in doc and "version" in doc
         assert len(doc["results"]) == 4
+
+    def test_every_experiment_writes_strict_json(self, tmp_path):
+        # bare NaN or Infinity is not JSON: a non-finite value is written null
+        ini = tmp_path / "tiny.ini"
+        ini.write_text(
+            "[tv]\nroutes = closed_form, quadrature\n"
+            "[amp-loss]\nh_grid = 0\n"
+            "[deficiency]\na_list = 0.5\ngrid_lo = -8\ngrid_hi = 8\ngrid_count = 41\n"
+            "[clone-sim]\nn_grid = 64\n"
+            "[minimax-probe]\nn = 64\nh_grid = -1, 1\na = 1\n"
+            "[lan-diag]\nn_grid = 25\n"
+            "[coupling]\nn_grid = 16\nresolution = 101\n"
+        )
+
+        def refuse(name):
+            raise ValueError(f"bare {name} in a JSON report")
+
+        for experiment in EXPERIMENTS:
+            out = tmp_path / f"{experiment}.json"
+            assert run_cli([experiment, "--config", str(ini), "--format", "json",
+                            "--out", str(out)]) == 0
+            doc = json.loads(out.read_text(), parse_constant=refuse)
+            assert doc["results"]
+            if experiment == "minimax-probe":
+                sup = doc["results"][-1]
+                assert sup["h"] == "sup" and sup["ci_low"] is sup["ci_high"] is None
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
+    def test_version_ignores_the_callers_repository(self, tmp_path, monkeypatch):
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                cwd=tmp_path, capture_output=True, text=True, check=True,
+            ).stdout.strip()
+
+        git("init", "-q")
+        (tmp_path / "f").write_text("x")
+        git("add", "f")
+        git("commit", "-q", "-m", "x")
+        head = git("rev-parse", "--short", "HEAD")
+        monkeypatch.chdir(tmp_path)
+        assert head not in _version_string()
 
 
 class TestEmitReport:
@@ -322,6 +367,10 @@ class TestInvalidInput:
         # cells here, refused before the law is allocated
         ("clone-sim", "family = poisson\ntheta = 0.01\nn_grid = 2\ndelta = 0.5\n"
          "r = 100000000\nepsilon = 0", "1200000002 cells, over the cap"),
+        # r * n and r * sigma overflow to inf: refused, not a traceback
+        ("clone-sim", "r = 1e308", "clone ratio r"),
+        ("minimax-probe", "r = 1e308", "clone ratio r"),
+        ("amp-loss", "r = 1e308\nsigma = 9", "must be finite"),
     ], ids=[
         "lan-diag-n0", "coupling-n0", "amp-loss-closed-form-r1",
         "amp-loss-closed-form-r2", "tv-mc-budget0", "tv-mc-budget-neg",
@@ -336,7 +385,8 @@ class TestInvalidInput:
         "deficiency-row-cap", "deficiency-row-cap-of-a-later-a",
         "deficiency-shift-list-cap", "clone-sim-bootstrap-neg", "clone-sim-bootstrap1",
         "tv-mc-budget-over-cap", "amp-loss-mc-budget-over-cap",
-        "clone-sim-count-law-span",
+        "clone-sim-count-law-span", "clone-sim-r-overflow", "minimax-probe-r-overflow",
+        "amp-loss-cov-overflow",
     ])
     def test_exits_2_without_report(
         self, tmp_path, capsys, monkeypatch, experiment, section, says

@@ -71,6 +71,11 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=field):
             ClonerConfig(**{**kwargs, field: value})
 
+    def test_overflowing_rn_rejected(self):
+        # r * n = inf used to escape as OverflowError from round()
+        with pytest.raises(ConfigurationError, match="clone ratio r"):
+            ClonerConfig(n=400, r=1e308, delta=0.05, epsilon=0.01, seed=1)
+
     @pytest.mark.parametrize("n", [400.5, 400.0])
     def test_non_integer_n_rejected(self, n):
         # 400.5 gave n2 = 379.5 and 400.0 gave n2 = 380.0, and
@@ -378,13 +383,13 @@ class TestCloneLoss:
         theta = 0.3 if family.name == "bernoulli" else 2.0
         cfg = ClonerConfig(n=400, r=2.0, delta=0.05, epsilon=epsilon, seed=34)
         reps = 500
-        rng = stream(cfg.seed, "clone-loss", family.name, "h1", cfg.n)
+        rng = stream(cfg.seed, "clone-loss", family.name, "", cfg.n)
         n2 = cfg.n if frozen else cfg.n2
         s2 = family.sample_stat(theta, n2, reps, rng)
         z = rng.standard_normal(reps) if epsilon > 0.0 else None
         target = smoothed_score(family, theta, n2, cfg.rn, epsilon, s2, z)[2]
         want = _rounding_atoms(family, cfg.rn, target)
-        got = _replicate_atoms(family, theta, cfg, reps, label="h1",
+        got = _replicate_atoms(family, theta, cfg, reps,
                                theta_hat=1.25 * theta if frozen else None)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
@@ -854,15 +859,13 @@ class TestExactCountLaw:
 class TestMinimaxProbe:
     def test_single_point_grid_matches_direct_loss(self):
         cfg = ClonerConfig(n=64, r=2.0, delta=0.1, epsilon=0.01, seed=15)
-        probe = local_minimax_probe(Bernoulli(), 0.3, 0.0, [0.0], cfg, reps=300)
-        direct = clone_loss_discrete(Bernoulli(), 0.3, cfg, reps=300, label="h0")
+        probe = local_minimax_probe(Bernoulli(), 0.3, 0.0, [0.0], cfg)
+        direct = clone_loss_exact(Bernoulli(), 0.3, cfg)
         assert probe.sup_loss == direct.loss
 
     def test_sup_dominates_center(self):
         cfg = ClonerConfig(n=64, r=2.0, delta=0.1, epsilon=0.01, seed=16)
-        probe = local_minimax_probe(
-            Bernoulli(), 0.3, 2.0, [-2.0, 0.0, 2.0], cfg, reps=300
-        )
+        probe = local_minimax_probe(Bernoulli(), 0.3, 2.0, [-2.0, 0.0, 2.0], cfg)
         center = probe.losses[1].loss
         assert probe.sup_loss >= center
         assert len(probe.losses) == 3
@@ -877,11 +880,11 @@ class TestMinimaxProbe:
     def test_out_of_range_grid(self):
         cfg = ClonerConfig(n=64, r=2.0, delta=0.1, epsilon=0.01, seed=17)
         with pytest.raises(ValueError):
-            local_minimax_probe(Bernoulli(), 0.3, 1.0, [2.0], cfg, reps=10)
+            local_minimax_probe(Bernoulli(), 0.3, 1.0, [2.0], cfg)
 
     def test_nan_radius_and_empty_grid(self):
         cfg = ClonerConfig(n=64, r=2.0, delta=0.1, epsilon=0.01, seed=17)
         with pytest.raises(ConfigurationError, match="radius a"):
-            local_minimax_probe(Bernoulli(), 0.3, math.nan, [0.0], cfg, reps=10)
+            local_minimax_probe(Bernoulli(), 0.3, math.nan, [0.0], cfg)
         with pytest.raises(ConfigurationError, match="empty shift grid"):
-            local_minimax_probe(Bernoulli(), 0.3, 1.0, [], cfg, reps=10)
+            local_minimax_probe(Bernoulli(), 0.3, 1.0, [], cfg)

@@ -8,6 +8,7 @@ form of the 1-dof chi-square CDF, and a 10^6-sample Monte Carlo for m = 3.
 import math
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,15 @@ class TestTvIsotropic:
         for m in (1, 3):
             assert tv_isotropic(math.inf, m) == 2.0
         assert tv_isotropic(1e300, 1) == 2.0
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_huge_r_reaches_two(self, m):
+        # r ln(r) overflowed the crossing radius past r ~ 3e305, and the
+        # closed form read 0 there
+        vals = [tv_isotropic(r, m) for r in (1e300, 1e305, 3e305, 1e306, 1.7e308)]
+        assert all(b >= a for a, b in zip(vals, vals[1:]))
+        assert all(v <= 2.0 for v in vals)
+        assert vals[-1] >= 2.0 - 1e-12
 
     @given(
         r=st.floats(min_value=1.0, max_value=30.0),
@@ -439,6 +449,18 @@ class TestDataTypes:
             GaussianShift([0, 0], [[1.0, 0.5], [0.4, 1.0]])
         with pytest.raises(ConfigurationError, match="not positive definite"):
             GaussianShift([0, 0], [[1.0, 2.0], [2.0, 1.0]])
+
+    @pytest.mark.parametrize("mean,cov", [
+        ([0.0], [[math.inf]]), ([0.0], [[math.nan]]), ([math.nan], [[1.0]]),
+        ([0.0, 0.0], [[1.0, math.nan], [math.nan, 1.0]]),
+        ([0.0, math.inf], np.eye(2)),
+    ])
+    def test_gaussian_shift_rejects_non_finite_entries(self, mean, cov):
+        # an infinite covariance used to reach scipy's Cholesky as a ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="must be finite"):
+                GaussianShift(mean, cov)
 
     def test_gaussian_shift_needs_a_dimension(self):
         with pytest.raises(ConfigurationError, match="dimension m must be at least 1"):

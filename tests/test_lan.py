@@ -4,6 +4,7 @@ The Gaussian location family anchors everything at machine precision; the
 discrete families carry the actual convergence content.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from clonekit import (
     quantile_coupling,
     score_process,
     stream,
-    wilson_interval,
 )
 from clonekit.cloner import smoothed_score
 
@@ -97,53 +97,82 @@ class TestLoglikRatio:
             loglik_ratio(Bernoulli(), 0.9, 2.0, np.array([1, 0, 1, 1]))
 
 
+def _wilson_interval(successes, trials, z=1.959963984540054):
+    """95% Wilson score interval of a binomial proportion."""
+    p = successes / trials
+    denom = 1.0 + z * z / trials
+    center = (p + z * z / (2 * trials)) / denom
+    half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
+    return center - half, center + half
+
+
 class TestResidualRate:
     def test_gaussian_all_zero(self):
-        rep = lan_residual_rate(
-            GaussianLocation(1.0), 0.0, 1.0, (25, 100), 0.1, reps=200, seed=5
-        )
-        assert rep.exceed_prob == (0.0, 0.0)
+        probs = lan_residual_rate(GaussianLocation(1.0), 0.0, 1.0, (25, 100), 0.1)
+        assert probs == (0.0, 0.0)
+
+    def test_gaussian_zero_at_threshold_zero(self):
+        # the expansion is exact, so no residual exceeds even 0 (sampling
+        # used to score rounding noise there)
+        probs = lan_residual_rate(GaussianLocation(1.3), 0.2, 1.0, (25, 100, 400), 0.0)
+        assert probs == (0.0, 0.0, 0.0)
 
     def test_bernoulli_decreasing(self):
-        rep = lan_residual_rate(
-            Bernoulli(), 0.5, 1.0, (25, 100, 400), 0.1, reps=2000, seed=6
-        )
-        assert all(b <= a for a, b in zip(rep.exceed_prob, rep.exceed_prob[1:]))
-        assert rep.exceed_prob[0] > rep.exceed_prob[-1]
-        # Wilson intervals bracket the point estimates
-        for p, lo, hi in zip(rep.exceed_prob, rep.wilson_low, rep.wilson_high):
-            assert lo <= p <= hi
+        probs = lan_residual_rate(Bernoulli(), 0.5, 1.0, (25, 100, 400), 0.1)
+        assert all(b < a for a, b in zip(probs, probs[1:]))
 
     def test_poisson_decreasing(self):
-        rep = lan_residual_rate(
-            Poisson(), 2.0, 1.0, (25, 100, 400), 0.1, reps=2000, seed=7
-        )
-        assert rep.exceed_prob[0] >= rep.exceed_prob[-1]
+        probs = lan_residual_rate(Poisson(), 2.0, 1.0, (25, 100, 400), 0.1)
+        assert probs[0] > probs[-1]
 
-    def test_reps_checked(self):
-        for reps in (0, -1):
-            with pytest.raises(ConfigurationError, match="reps must be at least 1"):
-                lan_residual_rate(Bernoulli(), 0.5, 1.0, (25,), 0.1, reps=reps, seed=1)
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("theta", [0.3, 0.5])
+    def test_matches_sequence_enumeration(self, n, theta):
+        # every one of the 2^n sequences scored by the data form of
+        # `loglik_ratio`, which reads neither `stat_pmf` nor `loglr_from_stat`
+        fam = Bernoulli()
+        seqs = np.array(list(itertools.product((0, 1), repeat=n)))
+        prob = theta ** seqs.sum(axis=1) * (1 - theta) ** (n - seqs.sum(axis=1))
+        for h in (-0.5, 0.5, 1.0):
+            residual = np.array([abs(np.subtract(*loglik_ratio(fam, theta, h, seq)))
+                                 for seq in seqs])
+            for threshold in (0.0, 0.05, 0.1, 0.3):
+                # no residual sits on the threshold, where rounding could decide
+                assert np.abs(residual - threshold).min() > 1e-9
+                want = float(prob[residual > threshold].sum())
+                (got,) = lan_residual_rate(fam, theta, h, (n,), threshold)
+                assert abs(got - want) < 1e-12
+
+    @pytest.mark.parametrize("family,theta", [(Bernoulli(), 0.5), (Poisson(), 1.0)],
+                             ids=["bernoulli", "poisson"])
+    def test_monte_carlo_inside_wilson_interval(self, family, theta):
+        # sampled statistics scored as the Monte Carlo route used to score them
+        reps, h, threshold = 100_000, 1.0, 0.1
+        n_grid = (25, 100, 400)
+        probs = lan_residual_rate(family, theta, h, n_grid, threshold)
+        j = family.fisher(theta)
+        for i, (n, p) in enumerate(zip(n_grid, probs)):
+            stat = family.sample_stat(theta, n, reps, stream(13, "lan-mc", family.name, i))
+            exact = family.loglr_from_stat(theta, theta + h / math.sqrt(n), n, stat)
+            quad = h * family.score_from_stat(theta, n, stat) - 0.5 * h * h * j
+            hits = int(np.count_nonzero(np.abs(exact - quad) > threshold))
+            lo, hi = _wilson_interval(hits, reps)
+            assert lo <= p <= hi
+
+    def test_domain_checked(self):
+        with pytest.raises(ConfigurationError):
+            lan_residual_rate(Bernoulli(), 0.9, 2.0, (4,), 0.1)
+        # the continuous family's parameter too, before its 0 is returned
+        with pytest.raises(ConfigurationError):
+            lan_residual_rate(GaussianLocation(1.0), math.nan, 1.0, (4,), 0.1)
 
     def test_threshold_checked(self):
-        # no residual falls below a negative threshold: exceed_prob would read 1
+        # no residual falls below a negative threshold: the probability would read 1
         for threshold in (-1.0, -1e-300, math.nan):
             with pytest.raises(ConfigurationError, match="threshold must be nonnegative"):
-                lan_residual_rate(Bernoulli(), 0.5, 1.0, (25,), threshold, reps=10, seed=1)
-        rep = lan_residual_rate(Bernoulli(), 0.5, 1.0, (25,), 0.0, reps=10, seed=1)
-        assert 0.0 <= rep.exceed_prob[0] <= 1.0
-
-
-class TestWilson:
-    def test_degenerate_counts(self):
-        lo, hi = wilson_interval(0, 100)
-        assert lo == 0.0 and 0.0 < hi < 0.05
-        lo, hi = wilson_interval(100, 100)
-        assert hi == 1.0 and lo > 0.95
-
-    def test_contains_proportion(self):
-        lo, hi = wilson_interval(37, 500)
-        assert lo < 37 / 500 < hi
+                lan_residual_rate(Bernoulli(), 0.5, 1.0, (25,), threshold)
+        (prob,) = lan_residual_rate(Bernoulli(), 0.5, 1.0, (25,), 0.0)
+        assert 0.0 <= prob <= 1.0
 
 
 class TestSmoothedScore:
