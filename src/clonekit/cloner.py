@@ -272,15 +272,21 @@ def _rounding_atoms(family: Family, rn: int, target: np.ndarray) -> tuple[
     both of shape (reps, 2), and whether clipping moved an atom of positive
     weight.  A target within 1e-9 (relative) of an integer is that integer.
     """
-    nearest = np.round(target)
-    exact = np.abs(target - nearest) < 1e-9 * np.maximum(1.0, np.abs(target))
-    k0 = np.where(exact, nearest, np.floor(target))
-    w1 = np.where(exact, 0.0, target - k0)
+    target = _snapped(target)
+    k0 = np.floor(target)
+    w1 = target - k0
     atoms = np.stack([k0, k0 + 1.0], axis=1)
     weights = np.stack([1.0 - w1, w1], axis=1)
     kept = np.clip(atoms, *family.stat_bounds(rn))
     clipped = ((kept != atoms) & (weights > 0.0)).any(axis=1)
     return kept.astype(np.int64), weights, clipped
+
+
+def _snapped(target: np.ndarray) -> np.ndarray:
+    """Targets with each one within 1e-9 (relative) of an integer set to it."""
+    nearest = np.round(target)
+    exact = np.abs(target - nearest) < 1e-9 * np.maximum(1.0, np.abs(target))
+    return np.where(exact, nearest, target)
 
 
 def _replicate_atoms(family: Family, theta: float, cfg: ClonerConfig, reps: int,
@@ -437,9 +443,10 @@ def _count_law(family: Family, theta: float, cfg: ClonerConfig,
     docstring), so it is ``T = c(S2) + sd Z`` with ``c`` the target of
     `smoothed_score` at ``z = 0`` and ``sd = rn sqrt(epsilon / n2)``, and the
     rounded count has ``P(K = k) = sum_s P(S2 = s) E[tent(c(s) - k + sd Z)]``
-    (`_smoothed_tent`); at epsilon = 0 the weights are `_rounding_atoms`'.
-    Cells outside `Family.stat_bounds` fold into the end cells, as
-    `Family.round_stat` clips.  Truncation: statistic values of mass below
+    (`_smoothed_tent`); at epsilon = 0 that is the tent at `_snapped` centres,
+    clipped when past the bounds.  Cells outside `Family.stat_bounds` fold
+    into the end cells, as `Family.round_stat` clips.  Truncation: statistic
+    values of mass below
     `_MASS_FLOOR` are dropped, and each value reaches `_BAND_SD` noise
     standard deviations (plus one cell) to each side, so the law misses at
     most the dropped mass plus 1e-32 per value.
@@ -476,17 +483,6 @@ def _count_law(family: Family, theta: float, cfg: ClonerConfig,
     mass = s_law.mass[keep]
     s2 = s_law.support[keep]
     lo, hi = family.stat_bounds(rn)
-    # the estimate cancels from the target, so the truth stands in for it
-    if cfg.epsilon == 0.0:
-        centre = smoothed_score(family, theta, n2, rn, 0.0, s2.astype(float), None)[2]
-        atoms, weights, clipped = _rounding_atoms(family, rn, centre)
-        lo_k = int(atoms.min())
-        cells = int(atoms.max()) - lo_k + 1
-        family.require_cells(cells, rn)  # the law's span, before it is allocated
-        law = mixture_pmf((atoms - lo_k).ravel(), (weights * mass[:, None]).ravel(),
-                          cells, 1)
-        return _from_cell(lo_k, law), float(mass[clipped].sum())
-
     sd = rn * math.sqrt(cfg.epsilon / n2)
     half = math.ceil(_BAND_SD * sd) + 1
     width = 2 * half + 2
@@ -497,6 +493,7 @@ def _count_law(family: Family, theta: float, cfg: ClonerConfig,
     _, first, rep = np.unique(s2 % period, return_index=True, return_inverse=True)
     centre = smoothed_score(family, theta, n2, rn, cfg.epsilon,
                             s2[first].astype(float), None)[2]
+    centre = _snapped(centre) if sd == 0.0 else centre
     rep_base = np.floor(centre).astype(np.int64) - half  # first cell of each
     teeth = (s2 - s2[first[rep]]) // period  # S2 = s2[first[rep]] + teeth period
     shift = teeth * step
@@ -531,12 +528,9 @@ def _count_law(family: Family, theta: float, cfg: ClonerConfig,
     law[0] += ext[:lo_k - ext_lo].sum()
     law[-1] += ext[hi_k - ext_lo + 1:].sum()
     row_centre = centre[rep] + shift
-    outside = ndtr((lo - row_centre) / sd) + ndtr((row_centre - hi) / sd)
-    return _from_cell(lo_k, law), float(mass @ outside)
-
-
-def _from_cell(lo_k: int, pmf: np.ndarray) -> EmpiricalLaw:
-    return EmpiricalLaw(np.arange(lo_k, lo_k + pmf.size), pmf)
+    outside = ((row_centre < lo) | (row_centre > hi) if sd == 0.0  # round_stat's clip
+               else ndtr((lo - row_centre) / sd) + ndtr((row_centre - hi) / sd))
+    return EmpiricalLaw(np.arange(lo_k, lo_k + law.size), law), float(mass @ outside)
 
 
 def _smoothed_tent(x: np.ndarray, sd: float) -> np.ndarray:
@@ -547,12 +541,14 @@ def _smoothed_tent(x: np.ndarray, sd: float) -> np.ndarray:
     phi(m/sd)``.  Split as ``R(m) = m^+ + R(-|m|)``, that is the tent itself
     plus the second difference of the bounded ``R(-|m|)``, with no linear
     part for rounding to cancel.  Each row shares its ``R`` values between
-    neighbouring cells.
+    neighbouring cells.  At ``sd = 0`` the weight is the tent itself.
     """
+    tent = np.maximum(1.0 - np.abs(x), 0.0)
+    if sd == 0.0:
+        return tent
     edges = np.concatenate((x[:, :1] + 1.0, x, x[:, -1:] - 1.0), axis=1)
     m = -np.abs(edges) / sd
     tail = sd * (m * ndtr(m) + _INV_SQRT_2PI * np.exp(-0.5 * m * m))
-    tent = np.maximum(1.0 - np.abs(x), 0.0)
     return tent + tail[:, :-2] - 2.0 * tail[:, 1:-1] + tail[:, 2:]
 
 

@@ -185,7 +185,8 @@ def tv_quadrature(p: GaussianShift, q: GaussianShift, tol: float = 1e-6) -> floa
     weights.  At m = 2 the inner integral over the second coordinate is that
     kernel, weighted by the two first-coordinate densities, and the outer one
     is adaptive quadrature on a box 12 standard deviations beyond both
-    first-coordinate means, in pieces that share the tolerance.
+    first-coordinate means, in pieces that share the tolerance.  The value
+    is capped at 2, which rounding and quadrature error could pass.
     """
     if p.dim != q.dim:
         raise ConfigurationError(f"dimension mismatch: {p.dim} vs {q.dim}")
@@ -196,7 +197,7 @@ def tv_quadrature(p: GaussianShift, q: GaussianShift, tol: float = 1e-6) -> floa
     c = (axes.T @ shift).tolist()
     s = np.sqrt(var).tolist()
     if p.dim == 1:
-        return _l1_kernel(0.0, 0.0, c[0], s[0])
+        return min(_l1_kernel(0.0, 0.0, c[0], s[0]), 2.0)
     log_s0 = math.log(s[0])
 
     def f(x: float) -> float:
@@ -214,7 +215,7 @@ def tv_quadrature(p: GaussianShift, q: GaussianShift, tol: float = 1e-6) -> floa
     if hi > cuts[-1] + sd:
         cuts.append(hi)
     share = tol / (len(cuts) - 1)
-    return sum(_adaptive_simpson(f, u, v, share) for u, v in zip(cuts, cuts[1:]))
+    return min(sum(_adaptive_simpson(f, u, v, share) for u, v in zip(cuts, cuts[1:])), 2.0)
 
 
 def tv_monte_carlo(
@@ -365,6 +366,10 @@ def _l1_kernel(log_a: float, log_b: float, c: float, s: float) -> float:
     a_coef = 0.5 * (1.0 / (s * s) - 1.0)
     b_coef = -c / (s * s)
     c_coef = 0.5 * (c / s) ** 2 + log_a - log_b + math.log(s)
+    # scaled by a power of two, exact away from subnormals, so b^2 and 4ac
+    # stay below 5: unscaled they overflow once r ln r passes 1e308
+    k = math.frexp(max(abs(b_coef), math.sqrt(abs(a_coef)) * math.sqrt(abs(c_coef))))[1]
+    a_coef, b_coef, c_coef = (math.ldexp(v, -k) for v in (a_coef, b_coef, c_coef))
     if a_coef == 0.0:
         roots = [-c_coef / b_coef] if b_coef else []
     elif (disc := b_coef * b_coef - 4.0 * a_coef * c_coef) > 0.0:

@@ -92,11 +92,14 @@ def test_criterion_1_loss_constant_triangulation():
 def test_criterion_2_sigma_independence():
     """Amplifier loss does not depend on the shift covariance or the shift.
 
-    In the target's whitened frame every pair scored here is the isotropic
-    pair (``A = sqrt(r) I``, ``b = 0``), so this checks that the Monte Carlo
-    route's whitening (`clonekit.gaussian._whitened`) is right.  It is no
-    further evidence that the constant ignores the covariance: L1's
-    invariance under a bijection already gives that.
+    The shift enters no arithmetic: the amplified and target laws share the
+    mean, so `amplifier_loss_mc` scores one mean-zero pair per covariance
+    and reports that one estimate at every shift of the grid.  In the
+    target's whitened frame that pair is the isotropic pair (``A = sqrt(r)
+    I``, ``b = 0``), so this checks that the Monte Carlo route's whitening
+    (`clonekit.gaussian._whitened`) is right, one estimate per covariance.
+    It is no further evidence that the constant ignores the covariance:
+    L1's invariance under a bijection already gives that.
     """
     ok = True
     details = []

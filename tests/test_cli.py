@@ -364,9 +364,10 @@ class TestInvalidInput:
         ("amp-loss", "method = monte_carlo\nbudget = 100000000000",
          "budget 100000000000 is over the cap"),
         # the exact count law spans (rn / n2) times the S2 support: 1.2e9
-        # cells here, refused before the law is allocated
+        # cells here, with the 4-cell tent band of each value's target,
+        # refused before the law is allocated
         ("clone-sim", "family = poisson\ntheta = 0.01\nn_grid = 2\ndelta = 0.5\n"
-         "r = 100000000\nepsilon = 0", "1200000002 cells, over the cap"),
+         "r = 100000000\nepsilon = 0", "1200000003 cells, over the cap"),
         # r * n and r * sigma overflow to inf: refused, not a traceback
         ("clone-sim", "r = 1e308", "clone ratio r"),
         ("minimax-probe", "r = 1e308", "clone ratio r"),

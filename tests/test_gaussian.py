@@ -191,6 +191,19 @@ class TestTvNumeric:
             q = GaussianShift([0.0], [[r]])
             assert tv_quadrature(p, q) == pytest.approx(tv_isotropic(r, 1), abs=1e-12)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("r", [1e300, 1e306, 1e308])
+    def test_quadrature_huge_covariance_either_order(self, r, m):
+        # b^2 - 4ac of the crossing quadratic overflowed once r ln r passed
+        # 1.8e308, so the pair with the huge covariance first read 0, and
+        # quadrature error pushed m = 2 above 2
+        wide = GaussianShift(np.zeros(m), r * np.eye(m))
+        unit = GaussianShift(np.zeros(m), np.eye(m))
+        for p, q in ((wide, unit), (unit, wide)):
+            value = tv_quadrature(p, q)
+            assert abs(value - tv_isotropic(r, m)) <= 1e-6
+            assert value <= 2.0
+
     def test_quadrature_matches_closed_form_2d(self):
         p = GaussianShift([0, 0], np.eye(2))
         q = GaussianShift([0, 0], 2 * np.eye(2))
