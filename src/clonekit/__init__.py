@@ -54,7 +54,6 @@ from .lan import (
     lan_residual_rate,
     loglik_ratio,
     quantile_coupling,
-    score_process,
 )
 from .lawdist import EmpiricalLaw
 from .streams import stream, stream_key

@@ -22,11 +22,11 @@ arrays of them.
 
 The estimate cancels from that target: ``rn mean(theta_hat) + (rn / n2)
 (S2 - n2 mean(theta_hat))`` is ``(rn / n2) S2``, so the target is ``(rn /
-n2) S2 + rn sqrt(epsilon / n2) Z`` whatever ``theta_hat`` is, and no
-resampler reads theta.  For the built-in families the pipeline therefore
-checks the central limit behaviour of a scaled S2 plus smoothing, not the
-local estimation the general reduction needs; ``delta`` acts only through
-the gain ``rn / n2``.
+n2) S2 + rn sqrt(epsilon / n2) Z`` whatever ``theta_hat`` is, and the
+resampler takes no parameter (S is sufficient).  For the built-in families
+the pipeline therefore checks the central limit behaviour of a scaled S2
+plus smoothing, not the local estimation the general reduction needs;
+``delta`` acts only through the gain ``rn / n2``.
 
 The output count law has two routes:
 
@@ -49,9 +49,8 @@ The output count law has two routes:
   the output count law) and `pmf_l1` (its distance to the exact target
   law), with a bootstrap CI.
 
-In both routes ``theta_hat`` only picks ``n2 = n`` (the whole sample feeds
-the score stage) and is checked to lie in the domain.  `clone` keeps the
-estimate: it runs the pipeline as written, and its record reports it.
+Neither route takes an estimate.  `clone` keeps it: it runs the pipeline
+as written, and its record reports it.
 
 As n grows (at fixed delta and epsilon) the loss approaches the Gaussian
 amplifier constant at gain ratio ``rn / n2 (1 + epsilon J)``, close to the
@@ -75,7 +74,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConfigurationError
-from .families import Family
+from .families import SNAP_TOL, Family
 from .lawdist import EmpiricalLaw
 from .streams import stream
 
@@ -242,7 +241,7 @@ def clone(
     if family.discrete:
         # the one rounding and clipping of the target; the resampler takes the count
         resample_target, clipped = family.round_stat(target, rn, rng)
-    output = family.conditional_resample(that, rn, resample_target, rng)
+    output = family.conditional_resample(rn, resample_target, rng)
     return CloneRunRecord(
         theta_hat=that,
         smoothed_value=smoothed,
@@ -270,7 +269,7 @@ def _rounding_atoms(family: Family, rn: int, target: np.ndarray) -> tuple[
 
     Returns the two clipped atoms ``floor``, ``floor + 1`` and their weights,
     both of shape (reps, 2), and whether clipping moved an atom of positive
-    weight.  A target within 1e-9 (relative) of an integer is that integer.
+    weight.  A target is snapped as `Family.round_stat` snaps it.
     """
     target = _snapped(target)
     k0 = np.floor(target)
@@ -283,28 +282,26 @@ def _rounding_atoms(family: Family, rn: int, target: np.ndarray) -> tuple[
 
 
 def _snapped(target: np.ndarray) -> np.ndarray:
-    """Targets with each one within 1e-9 (relative) of an integer set to it."""
+    """Targets with each one within `SNAP_TOL` (relative) of an integer set to it."""
     nearest = np.round(target)
-    exact = np.abs(target - nearest) < 1e-9 * np.maximum(1.0, np.abs(target))
+    exact = np.abs(target - nearest) < SNAP_TOL * np.maximum(1.0, np.abs(target))
     return np.where(exact, nearest, target)
 
 
-def _replicate_atoms(family: Family, theta: float, cfg: ClonerConfig, reps: int,
-                     theta_hat: float | None = None):
+def _replicate_atoms(family: Family, theta: float, cfg: ClonerConfig, reps: int):
     """Rounding pmfs of ``reps`` replicates drawn at the statistic level.
 
     One stream per call, keyed by ``(seed, "clone-loss", family, "", n)``,
-    drawn in a fixed order: all S2, then all Z.  The targets are
-    `smoothed_score`'s at the truth, since the estimate cancels from them
-    (the module docstring); ``theta_hat`` only makes S2 sum all n draws.
+    drawn in a fixed order: all S2 over ``cfg.n2`` draws, then all Z.  The
+    targets are `smoothed_score`'s at the truth, since the estimate cancels
+    from them (the module docstring).
     """
     # the empty slot, where a per-shift label used to go, keeps every
     # draw at each seed where it was
     rng = stream(cfg.seed, "clone-loss", family.name, "", cfg.n)
-    n2 = cfg.n2 if theta_hat is None else cfg.n
-    s2 = family.sample_stat(theta, n2, reps, rng)
+    s2 = family.sample_stat(theta, cfg.n2, reps, rng)
     z = rng.standard_normal(reps) if cfg.epsilon > 0.0 else None
-    target = smoothed_score(family, theta, n2, cfg.rn, cfg.epsilon, s2, z)[2]
+    target = smoothed_score(family, theta, cfg.n2, cfg.rn, cfg.epsilon, s2, z)[2]
     return _rounding_atoms(family, cfg.rn, target)
 
 
@@ -314,7 +311,6 @@ def clone_loss_discrete(
     cfg: ClonerConfig,
     reps: int,
     bootstrap: int = 200,
-    theta_hat: float | None = None,
 ) -> CloneLossReport:
     """Monte Carlo L1 loss of the cloner, Rao-Blackwellized over rounding.
 
@@ -339,17 +335,12 @@ def clone_loss_discrete(
     Multinomial(reps, 1/reps) count vector.  ``bootstrap = 0`` skips it and
     reports a NaN interval; a percentile interval needs at least 2
     resamples.
-
-    ``theta_hat``, domain-checked, makes S2 sum all n draws as in `clone`;
-    its value cancels.
     """
     _require_discrete(family)
     check_replicates(reps, bootstrap)
     family.require_in_domain(theta)
-    if theta_hat is not None:
-        family.require_in_domain(theta_hat)
     target_law = family.stat_pmf(theta, cfg.rn)  # refuses an oversized law before any draw
-    atoms, weights, clipped = _replicate_atoms(family, theta, cfg, reps, theta_hat)
+    atoms, weights, clipped = _replicate_atoms(family, theta, cfg, reps)
     lo_k = int(min(atoms.min(), target_law.support.min()))
     hi_k = int(max(atoms.max(), target_law.support.max()))
     target_vec = _on_cells(target_law, lo_k, hi_k)
@@ -409,35 +400,33 @@ def _loss_report(route: str, loss: float, ci_low: float, ci_high: float,
     )
 
 
-def clone_loss_exact(
-    family: Family,
-    theta: float,
-    cfg: ClonerConfig,
-    theta_hat: float | None = None,
-) -> CloneLossReport:
+def clone_loss_exact(family: Family, theta: float, cfg: ClonerConfig) -> CloneLossReport:
     """The loss of `clone_loss_discrete` from the exact output count law.
 
     No sampling: the law is `_count_law`, so the value is exact up to the
     truncation that function states, and ``ci_low = ci_high = loss``.  The
     clip rate is the exact chance that the real target falls outside
     `Family.stat_bounds`, the quantity whose replicate fraction the Monte
-    Carlo route reports.  ``theta_hat``, domain-checked, only makes the
-    score stage take all n draws as in `clone`; its value cancels.
+    Carlo route reports.
     """
     _require_discrete(family)
-    if theta_hat is not None:
-        family.require_in_domain(theta_hat)
     target_law = family.stat_pmf(theta, cfg.rn)  # refuses an oversized law first
-    law, clip_rate = _count_law(family, theta, cfg, theta_hat)
+    law, clip_rate = _count_law(family, theta, cfg.n2, cfg.rn, cfg.epsilon)
     lo = int(min(law.support[0], target_law.support[0]))
     hi = int(max(law.support[-1], target_law.support[-1]))
     loss = pmf_l1(_on_cells(law, lo, hi), _on_cells(target_law, lo, hi))
     return _loss_report("clone_loss_exact", loss, loss, loss, clip_rate)
 
 
-def _count_law(family: Family, theta: float, cfg: ClonerConfig,
-               theta_hat: float | None = None) -> tuple[EmpiricalLaw, float]:
+def _count_law(family: Family, theta: float, n2: int, rn: int,
+               epsilon: float) -> tuple[EmpiricalLaw, float]:
     """Exact law of the output count, on consecutive cells, and the clip rate.
+
+    ``n2`` is the number of scoring draws whose sum S2 the target reads,
+    ``rn`` the output size and ``epsilon`` the smoothing; the law depends on
+    nothing else (no seed: nothing is drawn).  At ``n2 = rn`` and epsilon =
+    0 the target is S2 itself and the law is the statistic law over n2
+    draws, the resampling fixed point.
 
     The statistic target does not depend on the estimate (the module
     docstring), so it is ``T = c(S2) + sd Z`` with ``c`` the target of
@@ -446,10 +435,9 @@ def _count_law(family: Family, theta: float, cfg: ClonerConfig,
     (`_smoothed_tent`); at epsilon = 0 that is the tent at `_snapped` centres,
     clipped when past the bounds.  Cells outside `Family.stat_bounds` fold
     into the end cells, as `Family.round_stat` clips.  Truncation: statistic
-    values of mass below
-    `_MASS_FLOOR` are dropped, and each value reaches `_BAND_SD` noise
-    standard deviations (plus one cell) to each side, so the law misses at
-    most the dropped mass plus 1e-32 per value.
+    values of mass below `_MASS_FLOOR` are dropped, and each value reaches
+    `_BAND_SD` noise standard deviations (plus one cell) to each side, so
+    the law misses at most the dropped mass plus 1e-32 per value.
 
     Since ``c(s) = (rn / n2) s``, values ``period = n2 / gcd(rn, n2)`` apart
     have centres exactly ``step = rn / gcd(rn, n2)`` cells apart and the
@@ -476,14 +464,12 @@ def _count_law(family: Family, theta: float, cfg: ClonerConfig,
     flat when every value is its own representative.  A band or a law span
     over `Family.require_cells`' cap is refused before it is allocated.
     """
-    n2 = cfg.n2 if theta_hat is None else cfg.n
-    rn = cfg.rn
     s_law = family.stat_pmf(theta, n2)
     keep = s_law.mass >= _MASS_FLOOR
     mass = s_law.mass[keep]
     s2 = s_law.support[keep]
     lo, hi = family.stat_bounds(rn)
-    sd = rn * math.sqrt(cfg.epsilon / n2)
+    sd = rn * math.sqrt(epsilon / n2)
     half = math.ceil(_BAND_SD * sd) + 1
     width = 2 * half + 2
     family.require_cells(width, rn)  # one row's band, before it is allocated
@@ -491,7 +477,7 @@ def _count_law(family: Family, theta: float, cfg: ClonerConfig,
     gcd = math.gcd(rn, n2)
     period, step = n2 // gcd, rn // gcd
     _, first, rep = np.unique(s2 % period, return_index=True, return_inverse=True)
-    centre = smoothed_score(family, theta, n2, rn, cfg.epsilon,
+    centre = smoothed_score(family, theta, n2, rn, epsilon,
                             s2[first].astype(float), None)[2]
     centre = _snapped(centre) if sd == 0.0 else centre
     rep_base = np.floor(centre).astype(np.int64) - half  # first cell of each

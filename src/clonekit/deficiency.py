@@ -117,11 +117,12 @@ class DeficiencyResult:
     ``value`` is HiGHS's objective.  ``kernel`` is the LP solution clipped at
     0 and renormalized, so `kernel_objective` scores it slightly above
     ``value``: 3.64e-9 to 4.49e-9 on the five 201-edge Gaussian LPs of
-    criteria 1 and 3, which is
-    above the 1e-9 pricing tolerance but far inside the 1e-8 agreement of
-    the frozen optima.  ``kernel_vars`` counts the kernel variables of the
-    final LP, not its slacks: under the reflection reduction each stands for
-    an entry and its mirror image, which halves the count.
+    criteria 1 and 3, which is above the 1e-9 pricing tolerance but far
+    inside the 1e-8 agreement of the frozen optima.  ``kernel_vars`` counts
+    the kernel variables of the final LP, not its slacks: under the
+    reflection reduction each stands for an entry and its mirror image,
+    which halves the count.  A pair of identical experiments is solved with
+    no LP: value 0, the identity kernel, and every count 0.
     """
 
     value: float
@@ -264,12 +265,22 @@ def lp_deficiency(
     variables.  `check_lp_size` runs before any solve.  Always feasible
     (route everything to any fixed target row), so a failed solve is a
     numerical error, not an infeasibility.
+
+    Identical experiments (r = 1, or any r whose square root rounds to 1)
+    are answered with no solve: the identity kernel reaches 0, and the
+    value is nonnegative, so 0 is exact.  HiGHS's interior point ends
+    imprecise on such a pair and its simplex clean-up can cycle for minutes.
     """
     if source.params != target.params:
         raise ConfigurationError("source and target must share the parameter list")
     k_in = source.n_outcomes
     k_out = target.n_outcomes
     check_lp_size(len(source.params), k_in, k_out)
+    if np.array_equal(source.probs, target.probs):
+        return DeficiencyResult(
+            value=0.0, kernel=np.eye(k_in), lp_status=STATUS_OPTIMAL, kernel_vars=0,
+            pricing_rounds=0, simplex_or_ipm_iters=0, crossover_iters=0,
+        )
     mask = _starting_band(source.probs, target.probs)
     mirror = k_in % 2 == 0 and _mirrored(source.probs) and _mirrored(target.probs)
     if mirror:

@@ -1,17 +1,19 @@
 """Smooth one-parameter families with exact sufficient-statistic kernels.
 
-Each family exposes density, sampler, score, Fisher information, the running
-sufficient statistic ``S = sum_i omega_i``, and an exact conditional
+Each family exposes density, sampler, score, Fisher information, the law of
+the sufficient statistic ``S = sum_i omega_i``, and an exact conditional
 resampler: a draw from the law of the sample given ``S``.  For the three
 built-ins the score is affine in the outcome,
 
     ``score(theta, w) = c(theta) (w - mean(theta))``  with  ``c = fisher``,
 
-so the normalized score sum is a bijective affine function of S and
-conditioning on the score equals conditioning on S, which is exactly
-samplable (arrangements for Bernoulli, uniform picks for Poisson, a mean bridge
-for the Gaussian).  Resampling a dataset on its own statistic leaves the
-joint law invariant.
+so the normalized score sum is a bijective affine function of S
+(`Family.score_from_stat`) and conditioning on the score equals
+conditioning on S, which is exactly samplable (arrangements for Bernoulli,
+uniform picks for Poisson, a mean bridge for the Gaussian).  S is
+sufficient, so the law given S is the same at every parameter and the
+resampler takes none.  Resampling a dataset on its own statistic leaves
+the joint law invariant.
 
 The built-ins are exponential families, density proportional to
 ``exp(eta(theta) w - A(theta))``, so every likelihood ratio is a function of
@@ -44,6 +46,10 @@ _STAT_CELLS_CAP = 10**7
 
 # picks per draw in `Poisson.conditional_resample`: 8 MiB of int64
 _PICKS_CHUNK = 1 << 20
+
+# a real statistic target within this (relative) distance of an integer is
+# that integer, so floating-point residue keeps exact-integer targets exact
+SNAP_TOL = 1e-9
 
 
 class Family:
@@ -134,13 +140,6 @@ class Family:
         """``size`` independent draws of S over samples of size n."""
         raise NotImplementedError
 
-    @staticmethod
-    def suff_stat(data: np.ndarray) -> float:
-        data = np.asarray(data, dtype=float)
-        if data.size == 0:
-            raise ConfigurationError("empty sample")
-        return float(data.sum())
-
     def score_from_stat(self, theta: float, n: int, stat: float) -> float:
         """Normalized score sum as an affine function of S; elementwise on arrays."""
         return self.fisher(theta) * (stat - n * self.mean(theta)) / math.sqrt(n)
@@ -154,11 +153,11 @@ class Family:
         raise NotImplementedError(f"{self.name} has no discrete statistic law")
 
     def conditional_resample(
-        self, theta: float, n: int, target_stat: float | int,
-        rng: np.random.Generator,
+        self, n: int, target_stat: float | int, rng: np.random.Generator,
     ) -> np.ndarray:
         """A sample of size n from the law given S = ``target_stat``.
 
+        S is sufficient, so that law is the same at every parameter.
         Discrete families take the integer count, already rounded and
         clipped by `round_stat`; continuous ones take the real target.
         """
@@ -195,12 +194,13 @@ class Family:
 
         ``floor(s) + Bernoulli(frac(s))`` keeps the expectation, avoiding the
         half-integer bias a deterministic rule would inject into count laws.
-        Returns the integer target and whether clipping was applied.
+        A target within `SNAP_TOL` (relative) of an integer is that integer,
+        with no draw.  Returns the integer target and whether clipping was
+        applied.
         """
         lo, hi = self.stat_bounds(n)
-        # snap floating-point residue so exact-integer targets stay exact
         nearest = round(target)
-        if abs(target - nearest) < 1e-9 * max(1.0, abs(target)):
+        if abs(target - nearest) < SNAP_TOL * max(1.0, abs(target)):
             t = int(nearest)
         else:
             fl = math.floor(target)
@@ -271,7 +271,7 @@ class Bernoulli(Family):
         p = np.exp(logp)
         return EmpiricalLaw(k, p / p.sum())
 
-    def conditional_resample(self, theta, n, target_stat, rng):
+    def conditional_resample(self, n, target_stat, rng):
         t = self._require_count(target_stat, n)
         out = np.zeros(n, dtype=np.int64)
         out[:t] = 1
@@ -334,7 +334,7 @@ class Poisson(Family):
             raise NumericalError(f"statistic law truncation left mass {tail}")
         return EmpiricalLaw(k, p / p.sum())
 
-    def conditional_resample(self, theta, n, target_stat, rng):
+    def conditional_resample(self, n, target_stat, rng):
         """Cell counts given the total t: exactly Multinomial(t, 1/n each).
 
         Drawn as the counts of t uniform picks among the n cells
@@ -409,7 +409,7 @@ class GaussianLocation(Family):
     def sample_stat(self, theta, n, size, rng):
         return n * theta + self.sigma * math.sqrt(n) * rng.standard_normal(size)
 
-    def conditional_resample(self, theta, n, target_stat, rng):
+    def conditional_resample(self, n, target_stat, rng):
         # bridge: fresh noise recentered so the sample mean is pinned; in
         # place, and bit-identical to target_stat / n + (z - z.mean())
         z = self.sigma * rng.standard_normal(n)

@@ -53,33 +53,24 @@ class CouplingReport:
     sup_deviation: tuple[float, ...]
 
 
-def score_process(family: Family, theta: float, data: np.ndarray) -> float:
-    """Normalized score sum ``sum_i score(theta, w_i) / sqrt(n)``.
-
-    Exact affine evaluation through the sufficient statistic.
-    """
-    data = np.asarray(data, dtype=float)
-    n = data.size
-    if n == 0:
-        raise ConfigurationError("empty sample")
-    return family.score_from_stat(theta, n, family.suff_stat(data))
-
-
 def loglik_ratio(
     family: Family, theta: float, h: float, data: np.ndarray
 ) -> tuple[float, float]:
     """``(exact, quadratic)`` log likelihood ratio at shift h / sqrt(n).
 
-    Their difference is the LAN expansion residual.
+    Their difference is the LAN expansion residual.  The quadratic form's
+    normalized score sum is `Family.score_from_stat` of the sample's sum.
     """
     data = np.asarray(data, dtype=float)
     n = data.size
+    if n == 0:
+        raise ConfigurationError("empty sample")
     shifted = theta + h / math.sqrt(n)
     family.require_in_domain(theta)
     family.require_in_domain(shifted)
     exact = float(np.sum(family.log_density(shifted, data) - family.log_density(theta, data)))
     j = family.fisher(theta)
-    quad = h * score_process(family, theta, data) - 0.5 * h * h * j
+    quad = h * family.score_from_stat(theta, n, float(data.sum())) - 0.5 * h * h * j
     return exact, quad
 
 

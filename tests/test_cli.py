@@ -579,3 +579,44 @@ class TestOtherExperiments:
         rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         for row in rows[1:]:
             assert float(row.split(",")[2]) == 0.0
+
+
+def _csv_rows(path):
+    """The data rows of a CSV report, as dicts keyed by column."""
+    body = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    return [dict(zip(body[0].split(","), ln.split(","))) for ln in body[1:]]
+
+
+class TestNoCloningBoundary:
+    """r = 1, where the target experiment is the source: seed 7, in process."""
+
+    @pytest.mark.parametrize("experiment,body,columns", [
+        ("tv", "routes = closed_form, quadrature", ("value", "std_error")),
+        ("amp-loss", "method = quadrature", ("value", "std_error")),
+        ("deficiency", "", ("lp_value", "closed_form", "identity_value")),
+    ])
+    def test_every_value_is_zero(self, tmp_path, experiment, body, columns):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[{experiment}]\nr = 1\n{body}\n")
+        out = tmp_path / "r1.csv"
+        assert run_cli([experiment, "--config", str(ini), "--seed", "7",
+                        "--out", str(out)]) == 0
+        rows = _csv_rows(out)
+        assert rows
+        for row in rows:
+            assert [float(row[c]) for c in columns] == [0.0] * len(columns)
+        if experiment == "deficiency":
+            assert [row["a"] for row in rows] == ["0.5", "1", "2", "4"]
+            assert {row["lp_status"] for row in rows} == {"optimal"}
+
+    @pytest.mark.parametrize("experiment", ["clone-sim", "minimax-probe"])
+    def test_cloner_runs_with_a_positive_loss(self, tmp_path, experiment):
+        # the estimation split leaves n2 < n scoring draws, so the gain
+        # sqrt(rn / n2) exceeds 1 and the loss is not 0
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[{experiment}]\nr = 1\n")
+        out = tmp_path / "r1.csv"
+        assert run_cli([experiment, "--config", str(ini), "--seed", "7",
+                        "--out", str(out)]) == 0
+        losses = [float(row["loss"]) for row in _csv_rows(out)]
+        assert losses and all(0.0 < loss < 2.0 for loss in losses)

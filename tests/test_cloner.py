@@ -23,7 +23,6 @@ from clonekit import (
     clone_loss_exact,
     estimate_theta,
     local_minimax_probe,
-    score_process,
     stream,
     tv_isotropic,
 )
@@ -235,7 +234,8 @@ def _reference_clone(family, data, cfg, rng, theta_hat=None):
         score_data = data[cfg.n1:]
     else:
         that, score_data = theta_hat, data
-    smoothed = score_process(family, that, score_data) / family.fisher(that)
+    score_sum = family.score_from_stat(that, score_data.size, float(score_data.sum()))
+    smoothed = score_sum / family.fisher(that)
     if cfg.epsilon > 0.0:
         smoothed += math.sqrt(cfg.epsilon) * rng.standard_normal()
     amplified = math.sqrt(cfg.rn / score_data.size) * smoothed
@@ -246,7 +246,7 @@ def _reference_clone(family, data, cfg, rng, theta_hat=None):
     resample_target = target
     if family.discrete:
         resample_target = family.round_stat(target, cfg.rn, rng)[0]
-    output = family.conditional_resample(that, cfg.rn, resample_target, rng)
+    output = family.conditional_resample(cfg.rn, resample_target, rng)
     return smoothed, amplified, target, output
 
 
@@ -301,19 +301,12 @@ class TestByteIdentity:
         fam = GaussianLocation(1.7)
         for i, (n, target) in enumerate([(2, 4.0), (16, -3.25), (800, 123.456),
                                          (801, 1e-3)]):
-            out = fam.conditional_resample(0.0, n, target, stream(24, "bridge", i))
+            out = fam.conditional_resample(n, target, stream(24, "bridge", i))
             z = fam.sigma * stream(24, "bridge", i).standard_normal(n)
             assert out.tobytes() == (target / n + (z - z.mean())).tobytes()
 
 
 class TestCloneLoss:
-    def test_fixed_point_loss_shrinks_with_reps(self):
-        cfg = ClonerConfig(n=20, r=1.0, delta=0.05, epsilon=0.0, seed=10)
-        small = clone_loss_discrete(Bernoulli(), 0.3, cfg, reps=500, theta_hat=0.3)
-        large = clone_loss_discrete(Bernoulli(), 0.3, cfg, reps=20_000, theta_hat=0.3)
-        assert large.loss < small.loss
-        assert large.loss < 0.05  # plug-in sampling error only
-
     def test_bernoulli_loss_near_reference(self):
         cfg = ClonerConfig(n=400, r=2.0, delta=0.05, epsilon=0.01, seed=11)
         rep = clone_loss_discrete(Bernoulli(), 0.3, cfg, reps=4000)
@@ -346,7 +339,7 @@ class TestCloneLoss:
         # oversized smoothing noise at tiny n pushes targets out of range
         cfg = ClonerConfig(n=2, r=1.0, delta=0.5, epsilon=5.0, seed=21)
         with caplog.at_level("WARNING", logger="clonekit.cloner"):
-            rep = clone_loss_discrete(Bernoulli(), 0.5, cfg, reps=500, theta_hat=0.5)
+            rep = clone_loss_discrete(Bernoulli(), 0.5, cfg, reps=500)
         assert rep.clip_rate > 0.05
         assert "clip rate" in caplog.text
 
@@ -361,7 +354,7 @@ class TestCloneLoss:
         for trial in range(24):
             cfg = ClonerConfig(n=100, r=2.0, delta=0.05, epsilon=0.01,
                                seed=1000 + trial)
-            exact, _ = _count_law(fam, theta, cfg)
+            exact, _ = _count_law(fam, theta, cfg.n2, cfg.rn, cfg.epsilon)
             exact_vec = np.zeros(cfg.rn + 1)
             exact_vec[exact.support] = exact.mass
             atoms, weights, _ = _replicate_atoms(fam, theta, cfg, reps)
@@ -375,22 +368,20 @@ class TestCloneLoss:
         assert rb_sse < plug_sse
 
     @pytest.mark.parametrize("family", [Bernoulli(), Poisson()], ids=lambda f: f.name)
-    @pytest.mark.parametrize("frozen", [False, True], ids=["estimated", "frozen"])
+    # one split: S2 sums the n2 draws left after the estimation stage
+    @pytest.mark.parametrize("split", ["estimated"])
     @pytest.mark.parametrize("epsilon", [0.0, 0.01])
-    def test_replicate_atoms_draw_s2_then_z(self, family, frozen, epsilon):
-        # the stream gives all S2, then all Z, scored at the truth; a frozen
-        # estimate (off the truth here) only makes S2 sum all n draws
+    def test_replicate_atoms_draw_s2_then_z(self, family, split, epsilon):
+        # the stream gives all S2, then all Z, scored at the truth
         theta = 0.3 if family.name == "bernoulli" else 2.0
         cfg = ClonerConfig(n=400, r=2.0, delta=0.05, epsilon=epsilon, seed=34)
         reps = 500
         rng = stream(cfg.seed, "clone-loss", family.name, "", cfg.n)
-        n2 = cfg.n if frozen else cfg.n2
-        s2 = family.sample_stat(theta, n2, reps, rng)
+        s2 = family.sample_stat(theta, cfg.n2, reps, rng)
         z = rng.standard_normal(reps) if epsilon > 0.0 else None
-        target = smoothed_score(family, theta, n2, cfg.rn, epsilon, s2, z)[2]
+        target = smoothed_score(family, theta, cfg.n2, cfg.rn, epsilon, s2, z)[2]
         want = _rounding_atoms(family, cfg.rn, target)
-        got = _replicate_atoms(family, theta, cfg, reps,
-                               theta_hat=1.25 * theta if frozen else None)
+        got = _replicate_atoms(family, theta, cfg, reps)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
@@ -608,7 +599,7 @@ def _pearson_pvalue(counts, expected):
     return float(chdtrc(int(keep.sum()), stat))
 
 
-def _per_row_count_law(family, theta, cfg, theta_hat=None, rows=256):
+def _per_row_count_law(family, theta, n2, rn, epsilon, rows=256):
     """`_count_law` at epsilon > 0 with one `_smoothed_tent` row per S2 value.
 
     Each row is placed and weighted at its own `smoothed_score` centre, with
@@ -616,16 +607,15 @@ def _per_row_count_law(family, theta, cfg, theta_hat=None, rows=256):
     rows are added ``rows`` at a time, so large n stays small in memory.
     Returns the law on its cells and the clip rate.
     """
-    n2 = cfg.n2 if theta_hat is None else cfg.n
     s_law = family.stat_pmf(theta, n2)
     keep = s_law.mass >= cloner._MASS_FLOOR
     mass = s_law.mass[keep]
-    centre = smoothed_score(family, theta, n2, cfg.rn, cfg.epsilon,
+    centre = smoothed_score(family, theta, n2, rn, epsilon,
                             s_law.support[keep].astype(float), None)[2]
-    sd = cfg.rn * math.sqrt(cfg.epsilon / n2)
+    sd = rn * math.sqrt(epsilon / n2)
     half = math.ceil(cloner._BAND_SD * sd) + 1
     start = np.floor(centre).astype(np.int64) - half
-    lo, hi = family.stat_bounds(cfg.rn)
+    lo, hi = family.stat_bounds(rn)
     first = int(min(max(lo, start.min()), hi))
     last = int(max(min(hi, start.max() + 2 * half + 1), lo))
     pmf = np.zeros(last - first + 1)
@@ -642,37 +632,29 @@ def _per_row_count_law(family, theta, cfg, theta_hat=None, rows=256):
 class TestExactCountLaw:
     """`_count_law` and `clone_loss_exact` against independent references."""
 
-    # (family, theta, cfg, frozen estimate, S2 period >= kept rows)
-    @pytest.mark.parametrize("family,theta,cfg,frozen,unshared", [
+    # (family, theta, n2, rn, epsilon, S2 period >= kept rows); the "frozen"
+    # cases score all n draws, n2 = n
+    @pytest.mark.parametrize("family,theta,n2,rn,epsilon,unshared", [
         # criterion 4's configs at n = 400: period 19, 149 and 460 rows
-        (Bernoulli(), 0.3, ClonerConfig(n=400, r=2.0, delta=0.05, epsilon=0.01, seed=1),
-         False, False),
-        (Poisson(), 2.0, ClonerConfig(n=400, r=2.0, delta=0.05, epsilon=0.01, seed=1),
-         False, False),
-        # gcd(rn, n2) = gcd(202, 95) = 1: period 95, every row its own
-        (Bernoulli(), 0.3, ClonerConfig(n=101, r=2.0, delta=0.05, epsilon=0.01, seed=1),
-         False, True),
+        (Bernoulli(), 0.3, 380, 800, 0.01, False),
+        (Poisson(), 2.0, 380, 800, 0.01, False),
+        # n = 101: gcd(rn, n2) = gcd(202, 95) = 1, period 95, every row its own
+        (Bernoulli(), 0.3, 95, 202, 0.01, True),
         # period 1, targets pushed past both ends
-        (Bernoulli(), 0.5, ClonerConfig(n=2, r=1.0, delta=0.5, epsilon=5.0, seed=43),
-         True, False),
-        (Poisson(), 0.5, ClonerConfig(n=2, r=1.0, delta=0.5, epsilon=5.0, seed=43),
-         True, False),
-        (Bernoulli(), 0.5, ClonerConfig(n=3, r=2.0, delta=0.4, epsilon=5.0, seed=44),
-         False, False),
-        (Poisson(), 0.5, ClonerConfig(n=3, r=2.0, delta=0.4, epsilon=5.0, seed=44),
-         False, False),
-        # the frozen estimate: n2 = n, period 1
-        (Poisson(), 2.0, ClonerConfig(n=400, r=2.0, delta=0.05, epsilon=0.01, seed=1),
-         True, False),
+        (Bernoulli(), 0.5, 2, 2, 5.0, False),
+        (Poisson(), 0.5, 2, 2, 5.0, False),
+        (Bernoulli(), 0.5, 1, 6, 5.0, False),
+        (Poisson(), 0.5, 1, 6, 5.0, False),
+        # n = 400, period 1
+        (Poisson(), 2.0, 400, 800, 0.01, False),
     ], ids=["bernoulli-400", "poisson-400", "bernoulli-101", "bernoulli-clip-frozen",
             "poisson-clip-frozen", "bernoulli-clip", "poisson-clip", "poisson-400-frozen"])
-    def test_shared_rows_match_per_row_weights(self, family, theta, cfg, frozen, unshared):
-        that = theta if frozen else None
-        n2 = cfg.n if frozen else cfg.n2
+    def test_shared_rows_match_per_row_weights(self, family, theta, n2, rn, epsilon,
+                                               unshared):
         rows = int((family.stat_pmf(theta, n2).mass >= cloner._MASS_FLOOR).sum())
-        assert (n2 // math.gcd(cfg.rn, n2) >= rows) == unshared
-        law, clip_rate = _count_law(family, theta, cfg, that)
-        reference, reference_clip = _per_row_count_law(family, theta, cfg, that)
+        assert (n2 // math.gcd(rn, n2) >= rows) == unshared
+        law, clip_rate = _count_law(family, theta, n2, rn, epsilon)
+        reference, reference_clip = _per_row_count_law(family, theta, n2, rn, epsilon)
         cells = np.arange(min(law.support[0], reference.support[0]),
                           max(law.support[-1], reference.support[-1]) + 1)
         np.testing.assert_allclose(_law_on(law, cells), _law_on(reference, cells),
@@ -690,9 +672,9 @@ class TestExactCountLaw:
     @pytest.mark.parametrize("block_cells", [1, 64])
     def test_blocking_does_not_change_the_law(self, monkeypatch, family, theta, cfg,
                                               block_cells):
-        law, clip_rate = _count_law(family, theta, cfg)
+        law, clip_rate = _count_law(family, theta, cfg.n2, cfg.rn, cfg.epsilon)
         monkeypatch.setattr(cloner, "_BLOCK_CELLS", block_cells)
-        blocked, blocked_clip = _count_law(family, theta, cfg)
+        blocked, blocked_clip = _count_law(family, theta, cfg.n2, cfg.rn, cfg.epsilon)
         np.testing.assert_array_equal(blocked.support, law.support)
         np.testing.assert_allclose(blocked.mass, law.mass, rtol=0, atol=1e-15)
         assert math.isclose(blocked_clip, clip_rate, rel_tol=1e-12, abs_tol=0.0)
@@ -704,8 +686,9 @@ class TestExactCountLaw:
 
     def test_large_n_matches_per_row_weights(self):
         family, theta, cfg = self._LARGE_N
-        law, clip_rate = _count_law(family, theta, cfg)
-        reference, reference_clip = _per_row_count_law(family, theta, cfg)
+        law, clip_rate = _count_law(family, theta, cfg.n2, cfg.rn, cfg.epsilon)
+        reference, reference_clip = _per_row_count_law(family, theta, cfg.n2, cfg.rn,
+                                                       cfg.epsilon)
         cells = np.arange(min(law.support[0], reference.support[0]),
                           max(law.support[-1], reference.support[-1]) + 1)
         np.testing.assert_allclose(_law_on(law, cells), _law_on(reference, cells),
@@ -725,10 +708,10 @@ class TestExactCountLaw:
         family = Poisson()
         s_law = family.stat_pmf(theta, cfg.n2)
         monkeypatch.setattr(family, "stat_pmf", lambda theta, n: s_law)
-        _count_law(family, theta, cfg)
+        _count_law(family, theta, cfg.n2, cfg.rn, cfg.epsilon)
         tracemalloc.start()
         try:
-            _count_law(family, theta, cfg)
+            _count_law(family, theta, cfg.n2, cfg.rn, cfg.epsilon)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -740,7 +723,7 @@ class TestExactCountLaw:
         # rn / n2 = 5 / 3: every third S2 value lands on an integer target
         cfg = ClonerConfig(n=30, r=1.5, delta=0.1, epsilon=0.0, seed=1)
         assert (cfg.rn, cfg.n2) == (45, 27)
-        law, clip_rate = _count_law(family, theta, cfg)
+        law, clip_rate = _count_law(family, theta, cfg.n2, cfg.rn, cfg.epsilon)
         s_law = family.stat_pmf(theta, cfg.n2)
         expected = {}
         for s, p in zip(s_law.support.tolist(), s_law.mass.tolist()):
@@ -758,11 +741,14 @@ class TestExactCountLaw:
         (Poisson(), 2.0, 400),
     ])
     def test_fixed_point_loss_is_zero(self, family, theta, n):
-        # criterion 6's fixed point: frozen estimate, r = 1, epsilon = 0
-        cfg = ClonerConfig(n=n, r=1.0, delta=0.05, epsilon=0.0, seed=1)
-        rep = clone_loss_exact(family, theta, cfg, theta_hat=theta)
-        assert rep.loss < 1e-15
-        assert rep.ci_low == rep.loss == rep.ci_high and rep.clip_rate == 0.0
+        # criterion 6's fixed point: all n draws scored, r = 1, epsilon = 0;
+        # every target is its own statistic, so the law is that of S
+        law, clip_rate = _count_law(family, theta, n, n, 0.0)
+        target = family.stat_pmf(theta, n)
+        cells = np.arange(min(law.support[0], target.support[0]),
+                          max(law.support[-1], target.support[-1]) + 1)
+        assert np.abs(_law_on(law, cells) - _law_on(target, cells)).sum() < 1e-15
+        assert clip_rate == 0.0
 
     @pytest.mark.parametrize("sd", [0.05, 0.7, 8.2, 40.0])
     def test_cell_weights_match_quadrature(self, sd):
@@ -797,7 +783,7 @@ class TestExactCountLaw:
         cfg = ClonerConfig(n=100, r=2.0, delta=0.05, epsilon=epsilon, seed=41)
         reps = 400_000
         atoms, weights, _ = _replicate_atoms(family, theta, cfg, reps)
-        law, _ = _count_law(family, theta, cfg)
+        law, _ = _count_law(family, theta, cfg.n2, cfg.rn, cfg.epsilon)
         first = min(law.support[0], atoms.min())
         size = max(law.support[-1], atoms.max()) + 1 - first
         mc = mixture_pmf((atoms - first).ravel(), weights.ravel(), size, reps)
@@ -815,24 +801,23 @@ class TestExactCountLaw:
             clone(family, family.sample(theta, cfg.n, rng), cfg, rng).output.sum()
             for _ in range(calls)
         ])
-        law, _ = _count_law(family, theta, cfg)
+        law, _ = _count_law(family, theta, cfg.n2, cfg.rn, cfg.epsilon)
         cells = np.arange(min(law.support[0], counts.min()),
                           max(law.support[-1], counts.max()) + 1)
         observed = np.bincount(counts - cells[0], minlength=cells.size).astype(float)
         assert _pearson_pvalue(observed, _law_on(law, cells) * calls) > 1e-6
 
-    # (theta, cfg, frozen estimate): targets pushed past both ends by the noise
+    # (theta, cfg, r = 1): targets pushed past both ends by the noise, n2 = 1
     @pytest.mark.parametrize("family", [Bernoulli(), Poisson()], ids=lambda f: f.name)
-    @pytest.mark.parametrize("theta,cfg,frozen", [
+    @pytest.mark.parametrize("theta,cfg,same_size", [
         (0.5, ClonerConfig(n=2, r=1.0, delta=0.5, epsilon=5.0, seed=43), True),
         (0.5, ClonerConfig(n=3, r=2.0, delta=0.4, epsilon=5.0, seed=44), False),
     ])
-    def test_clip_rate_agrees_with_monte_carlo(self, family, theta, cfg, frozen):
-        that = theta if frozen else None
-        exact = clone_loss_exact(family, theta, cfg, theta_hat=that).clip_rate
+    def test_clip_rate_agrees_with_monte_carlo(self, family, theta, cfg, same_size):
+        assert (cfg.rn == cfg.n) == same_size and cfg.n2 == 1
+        exact = clone_loss_exact(family, theta, cfg).clip_rate
         reps = 20_000
-        mc = clone_loss_discrete(family, theta, cfg, reps=reps, bootstrap=0,
-                                 theta_hat=that).clip_rate
+        mc = clone_loss_discrete(family, theta, cfg, reps=reps, bootstrap=0).clip_rate
         assert exact > 0.05
         assert abs(mc - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / reps)
 
@@ -842,12 +827,12 @@ class TestExactCountLaw:
         # cells apart, 1.2e7 cells at epsilon = 0 and 1.44e7 with the bands
         cfg = ClonerConfig(n=2, r=1e6, delta=0.5, epsilon=epsilon, seed=1)
         with pytest.raises(ConfigurationError, match="cells, over the cap"):
-            _count_law(Poisson(), 0.01, cfg)
+            _count_law(Poisson(), 0.01, cfg.n2, cfg.rn, cfg.epsilon)
 
     def test_clip_alarm_logged(self, caplog):
         cfg = ClonerConfig(n=2, r=1.0, delta=0.5, epsilon=5.0, seed=21)
         with caplog.at_level("WARNING", logger="clonekit.cloner"):
-            clone_loss_exact(Bernoulli(), 0.5, cfg, theta_hat=0.5)
+            clone_loss_exact(Bernoulli(), 0.5, cfg)
         assert "clone_loss_exact: clip rate" in caplog.text
 
     def test_continuous_family_rejected(self):

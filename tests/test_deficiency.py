@@ -228,8 +228,31 @@ class TestLpDeficiency:
         with pytest.raises(ConfigurationError, match="201 shifts .* cap is 40000"):
             lp_deficiency(wide, wide)
         under = experiment(np.full((200, 200), 1 / 200))  # 40 000 rows: allowed
+        moved = np.full((200, 200), 1 / 200)  # not identical, so the LP is solved
+        moved[:, 0] += 1 / 400
+        moved[:, 1] -= 1 / 400
         with pytest.raises(AssertionError, match="linprog called"):
-            lp_deficiency(under, under)
+            lp_deficiency(under, experiment(moved))
+
+    @pytest.mark.parametrize("r", [1.0, 1.0000000000000002])
+    def test_identical_pair_needs_no_solve(self, monkeypatch, r):
+        # at r = 1 (or an r whose square root rounds to 1) source and target
+        # are the same experiment; HiGHS's simplex clean-up can cycle on it
+        import clonekit.deficiency as deficiency_module
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr(deficiency_module, "linprog", no_solve)
+        src, tgt = discretize_gaussian_pair(symmetric_shifts(2.0, 0.5), 1.0, r,
+                                            GridSpec(-10, 10, 201))
+        assert np.array_equal(src.probs, tgt.probs)
+        res = lp_deficiency(src, tgt)
+        assert res.value == 0.0 and res.lp_status == "optimal"
+        assert np.array_equal(res.kernel, np.eye(200))
+        assert (res.kernel_vars, res.pricing_rounds, res.simplex_or_ipm_iters,
+                res.crossover_iters) == (0, 0, 0, 0)
+        assert kernel_objective(res.kernel, src, tgt) == 0.0
 
     @pytest.mark.parametrize("value", [-1e-6, math.nan])
     def test_negative_value_is_a_numerical_error(self, value):

@@ -20,20 +20,21 @@ from clonekit import (
     lan_residual_rate,
     loglik_ratio,
     quantile_coupling,
-    score_process,
     stream,
 )
 from clonekit.cloner import smoothed_score
 
 
 class TestScoreProcess:
+    """The normalized score sum, through the statistic: `Family.score_from_stat`."""
+
     def test_gaussian_zero(self):
-        v = score_process(GaussianLocation(1.0), 0.0, np.array([1.0, -1.0]))
+        v = GaussianLocation(1.0).score_from_stat(0.0, 2, np.array([1.0, -1.0]).sum())
         assert v == 0.0
 
     def test_bernoulli_hand_value(self):
         # (S - n theta) / (theta (1-theta) sqrt(n)) = (4 - 2) * 4 / 2 = 4
-        v = score_process(Bernoulli(), 0.5, np.array([1, 1, 1, 1]))
+        v = Bernoulli().score_from_stat(0.5, 4, np.array([1, 1, 1, 1]).sum())
         assert v == pytest.approx(4.0)
 
     @pytest.mark.parametrize(
@@ -45,13 +46,19 @@ class TestScoreProcess:
         vals = np.empty(reps)
         for i in range(reps):
             rng = stream(3, "spvar", family.name, i)
-            vals[i] = score_process(family, theta, family.sample(theta, n, rng))
+            vals[i] = family.score_from_stat(theta, n, family.sample(theta, n, rng).sum())
         j = family.fisher(theta)
         se = np.square(vals).std() / math.sqrt(reps)
         assert abs(vals.var() - j) < 4 * se + 20 * j / reps
 
 
 class TestLoglikRatio:
+    def test_empty_sample_rejected(self):
+        # checked before the shift h / sqrt(n) divides by zero
+        for family, theta in ((Bernoulli(), 0.4), (GaussianLocation(1.0), 0.0)):
+            with pytest.raises(ConfigurationError, match="empty sample"):
+                loglik_ratio(family, theta, 1.0, [])
+
     def test_zero_shift(self):
         exact, quadratic = loglik_ratio(Bernoulli(), 0.4, 0.0, np.array([1, 0, 1]))
         assert exact == 0.0 and quadratic == 0.0
@@ -183,7 +190,7 @@ class TestSmoothedScore:
         data = np.array([1, 0, 1, 1])
         n = data.size
         out = smoothed_score(fam, 0.5, n, n, 0.0, float(data.sum()), None)[0]
-        expected = score_process(fam, 0.5, data) / fam.fisher(0.5)
+        expected = fam.score_from_stat(0.5, n, float(data.sum())) / fam.fisher(0.5)
         assert out == expected
 
     def test_gaussian_law_exact(self):
