@@ -16,8 +16,9 @@ runs in one process, so it cannot change a number.  The Monte Carlo L1 route
 ``--workers`` says, and no number depends on that either.
 
 Exit codes: 0 success, 2 configuration error (`ConfigurationError`, from
-`_param` or the library's checks), 3 numerical failure (a partial report is
-still written); any other exception is a bug and exits 1 with a traceback.
+`_param` or the library's checks), 3 numerical failure (`NumericalError`);
+neither writes a report.  Any other exception is a bug and exits 1 with a
+traceback.
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ def resolve_config(
 
 
 # ---------------------------------------------------------------------------
-# runners: each reads cfg.values and returns (rows, numerical_ok)
+# runners: each reads cfg.values and returns its rows
 
 def _run_tv(cfg: ExperimentConfig):
     v = cfg.values
@@ -218,7 +219,7 @@ def _run_tv(cfg: ExperimentConfig):
                 unit, scaled, v["budget"], stream(cfg.seed, "tv", route)
             )
         rows.append({"r": r, "m": m, "method": route, "value": value, "std_error": se})
-    return rows, True
+    return rows
 
 
 def _run_amp_loss(cfg: ExperimentConfig):
@@ -239,7 +240,7 @@ def _run_amp_loss(cfg: ExperimentConfig):
         "h": "sup", "value": report.sup_value,
         "std_error": report.sup_std_error, "method": report.method,
     })
-    return rows, True
+    return rows
 
 
 def _run_deficiency(cfg: ExperimentConfig):
@@ -250,13 +251,12 @@ def _run_deficiency(cfg: ExperimentConfig):
     shift_lists = [deficiency.symmetric_shifts(a, v["h_step"]) for a in v["a_list"]]
     for hs in shift_lists:  # size-check every LP before the first solve
         deficiency.check_lp_size(len(hs), cells, cells)
-    rows, ok = [], True
+    rows = []
     for a, hs in zip(v["a_list"], shift_lists):
         source, target = deficiency.discretize_gaussian_pair(
             hs, v["sigma"], v["r"], grid, v["mode"]
         )
         result = deficiency.lp_deficiency(source, target)
-        ok = ok and result.lp_status == deficiency.STATUS_OPTIMAL
         row = {
             "a": a, "mode": v["mode"], "n_shifts": len(hs),
             "lp_value": result.value, "lp_status": result.lp_status,
@@ -265,7 +265,7 @@ def _run_deficiency(cfg: ExperimentConfig):
         if v["report_identity"]:
             row["identity_value"] = deficiency.identity_objective(source, target)
         rows.append(row)
-    return rows, ok
+    return rows
 
 
 def _run_clone_sim(cfg: ExperimentConfig):
@@ -284,7 +284,7 @@ def _run_clone_sim(cfg: ExperimentConfig):
             "clip_rate": rep.clip_rate, "reps": v["reps"],
             "reference": gaussian.tv_isotropic(v["r"] / (1.0 - v["delta"]), 1),
         })
-    return rows, True
+    return rows
 
 
 def _run_minimax_probe(cfg: ExperimentConfig):
@@ -305,7 +305,7 @@ def _run_minimax_probe(cfg: ExperimentConfig):
         "h": "sup", "theta_shifted": v["theta"],
         "loss": report.sup_loss, "ci_low": math.nan, "ci_high": math.nan,
     })
-    return rows, True
+    return rows
 
 
 def _run_lan_diag(cfg: ExperimentConfig):
@@ -323,7 +323,7 @@ def _run_lan_diag(cfg: ExperimentConfig):
         }
         for n, prob in zip(v["n_grid"], probs)
     ]
-    return rows, True
+    return rows
 
 
 def _run_coupling(cfg: ExperimentConfig):
@@ -340,7 +340,7 @@ def _run_coupling(cfg: ExperimentConfig):
             v["n_grid"], report.deviation_measure, report.sup_deviation
         )
     ]
-    return rows, True
+    return rows
 
 
 _RUNNERS = {
@@ -381,19 +381,14 @@ def _version_string() -> str:
         return "unknown"
 
 
-def emit_report(
-    rows: list[dict],
-    cfg: ExperimentConfig,
-    partial: bool,
-    wall_clock: float,
-) -> str:
+def emit_report(rows: list[dict], cfg: ExperimentConfig, wall_clock: float) -> str:
     """Render the report and write it to cfg.out (or stdout).  Returns text."""
     if not rows:
         raise ConfigurationError("no results to report")
     if cfg.fmt == "csv":
-        text = _render_csv(rows, cfg, partial)
+        text = _render_csv(rows, cfg)
     else:
-        text = _render_json(rows, cfg, partial, wall_clock)
+        text = _render_json(rows, cfg, wall_clock)
     if cfg.out:
         try:
             with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -412,7 +407,7 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _render_csv(rows: list[dict], cfg: ExperimentConfig, partial: bool) -> str:
+def _render_csv(rows: list[dict], cfg: ExperimentConfig) -> str:
     columns = list(rows[0].keys())
     lines = [
         "# clonekit report, schema 1",
@@ -422,23 +417,18 @@ def _render_csv(rows: list[dict], cfg: ExperimentConfig, partial: bool) -> str:
     for key, value in sorted(_config_echo(cfg).items()):
         if key not in ("workers",):  # workers cannot change numbers
             lines.append(f"# config {key} = {value}")
-    if partial:
-        lines.append("# PARTIAL: numerical failure, see lp_status")
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt_value(row.get(c, "")) for c in columns))
     return "\n".join(lines) + "\n"
 
 
-def _render_json(
-    rows: list[dict], cfg: ExperimentConfig, partial: bool, wall_clock: float
-) -> str:
+def _render_json(rows: list[dict], cfg: ExperimentConfig, wall_clock: float) -> str:
     doc = {
         "schema": 1,
         "experiment": cfg.experiment,
         "config": _config_echo(cfg),
         "version": _version_string(),
-        "partial": partial,
         "wall_clock_s": wall_clock,
         # JSON has no NaN or infinity: a non-finite value is written as null
         "results": [
@@ -452,9 +442,9 @@ def _render_json(
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     started = time.monotonic()
-    rows, ok = _RUNNERS[cfg.experiment](cfg)
-    emit_report(rows, cfg, partial=not ok, wall_clock=time.monotonic() - started)
-    return 0 if ok else 3
+    rows = _RUNNERS[cfg.experiment](cfg)
+    emit_report(rows, cfg, wall_clock=time.monotonic() - started)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

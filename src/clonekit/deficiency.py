@@ -68,7 +68,6 @@ MODE_VARIANCE_EXCESS = "variance-excess"  # source N(sqrt(r) h, r s2) -> target 
 _MODES = (MODE_MEAN_SHIFT, MODE_VARIANCE_EXCESS)
 
 STATUS_OPTIMAL = "optimal"
-STATUS_ITERATION_LIMIT = "iteration_limit"
 
 _KERNEL_VARIABLE_CAP = 40_000
 _DEVIATION_ROW_CAP = 40_000  # p * k_out, before the mirror halving
@@ -121,8 +120,8 @@ class DeficiencyResult:
     inside the 1e-8 agreement of the frozen optima.  ``kernel_vars`` counts
     the kernel variables of the final LP, not its slacks: under the
     reflection reduction each stands for an entry and its mirror image,
-    which halves the count.  A pair of identical experiments is solved with
-    no LP: value 0, the identity kernel, and every count 0.
+    which halves the count.  A pair answered by the identity kernel (see
+    `lp_deficiency`) has its score as ``value`` and every count 0.
     """
 
     value: float
@@ -266,19 +265,22 @@ def lp_deficiency(
     (route everything to any fixed target row), so a failed solve is a
     numerical error, not an infeasibility.
 
-    Identical experiments (r = 1, or any r whose square root rounds to 1)
-    are answered with no solve: the identity kernel reaches 0, and the
-    value is nonnegative, so 0 is exact.  HiGHS's interior point ends
-    imprecise on such a pair and its simplex clean-up can cycle for minutes.
+    A pair on one lattice whose identity kernel scores at most
+    `_PRICING_TOL` is answered with no solve: that kernel, and its score as
+    the value, within 1e-9 of the optimum (which lies between 0 and the
+    score), inside the route's accuracy (see `DeficiencyResult`).  Identical
+    pairs read exactly 0; at r = 1 + 1e-12 the value (2e-13 to 1.6e-12 on
+    the CLI's lattice) can exceed the closed form by about 1e-12.  HiGHS
+    cycles or ends with an unknown status on such near-identical pairs.
     """
     if source.params != target.params:
         raise ConfigurationError("source and target must share the parameter list")
     k_in = source.n_outcomes
     k_out = target.n_outcomes
     check_lp_size(len(source.params), k_in, k_out)
-    if np.array_equal(source.probs, target.probs):
+    if k_in == k_out and (gap := identity_objective(source, target)) <= _PRICING_TOL:
         return DeficiencyResult(
-            value=0.0, kernel=np.eye(k_in), lp_status=STATUS_OPTIMAL, kernel_vars=0,
+            value=gap, kernel=np.eye(k_in), lp_status=STATUS_OPTIMAL, kernel_vars=0,
             pricing_rounds=0, simplex_or_ipm_iters=0, crossover_iters=0,
         )
     mask = _starting_band(source.probs, target.probs)
@@ -365,7 +367,8 @@ def _priced_solve(
     mirror image keeps it feasible without raising its objective, so that
     optimum is the full one.  Otherwise the negative entries join the mask.
     The mask only grows, so the loop ends, at worst on every entry.  A solve
-    that hits the iteration limit ends the loop uncertified.
+    that does not end optimal, at HiGHS's iteration limit or otherwise,
+    raises `NumericalError` with scipy's message.
     """
     p, k_in = probs_in.shape
     k_out = probs_out.shape[1]
@@ -379,9 +382,6 @@ def _priced_solve(
         rounds += 1
         iters += int(res.nit)
         crossover_iters += int(res.crossover_nit)
-        if res.status == 1:
-            status = STATUS_ITERATION_LIMIT
-            break
         if res.status != 0:
             raise NumericalError(f"LP solver failed: {res.message}")
         marginals = res.eqlin.marginals
@@ -393,7 +393,6 @@ def _priced_solve(
         reduced = -(gain[: mask.shape[0]] + marginals[n_e:, None])
         entering = ~mask & (reduced < -_PRICING_TOL)
         if not entering.any():
-            status = STATUS_OPTIMAL
             break
         mask |= entering
     # the mask is the one just solved on, so its entries match the variables
@@ -408,7 +407,7 @@ def _priced_solve(
     result = DeficiencyResult(
         value=float(res.fun),
         kernel=kernel,
-        lp_status=status,
+        lp_status=STATUS_OPTIMAL,
         kernel_vars=int(mask.sum()),
         pricing_rounds=rounds,
         simplex_or_ipm_iters=iters,

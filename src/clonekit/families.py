@@ -165,6 +165,14 @@ class Family:
 
     # -- helpers -----------------------------------------------------------
 
+    def _finite_fisher(self, theta: float, info: float) -> float:
+        """``info``, the Fisher information at theta, unless it overflowed."""
+        if not math.isfinite(info):
+            raise ConfigurationError(
+                f"{self.name}: theta={theta} gives infinite Fisher information"
+            )
+        return info
+
     def require_cells(self, cells: int, n: int) -> None:
         """Refuse a law of the statistic over n draws on over `_STAT_CELLS_CAP` cells.
 
@@ -233,8 +241,9 @@ class Bernoulli(Family):
         return theta
 
     def fisher(self, theta: float) -> float:
+        """``1 / (theta (1 - theta))``, finite for theta from about 5.6e-309."""
         self.require_in_domain(theta)
-        return 1.0 / (theta * (1.0 - theta))
+        return self._finite_fisher(theta, 1.0 / (theta * (1.0 - theta)))
 
     def log_density(self, theta: float, omega):
         self.require_in_domain(theta)
@@ -291,8 +300,9 @@ class Poisson(Family):
         return theta
 
     def fisher(self, theta: float) -> float:
+        """``1 / theta``, finite for theta from about 5.6e-309."""
         self.require_in_domain(theta)
-        return 1.0 / theta
+        return self._finite_fisher(theta, 1.0 / theta)
 
     def log_density(self, theta: float, omega):
         self.require_in_domain(theta)
@@ -370,7 +380,7 @@ class Poisson(Family):
 
 
 class GaussianLocation(Family):
-    """Normal with unknown location and known scale sigma."""
+    """Normal with unknown location and known scale sigma, 7.5e-155 to 1.3e154."""
 
     name = "gauss-loc"
     param_lo = -math.inf
@@ -378,8 +388,12 @@ class GaussianLocation(Family):
     discrete = False
 
     def __init__(self, sigma: float = 1.0):
-        if not sigma > 0:
-            raise ConfigurationError(f"sigma must be positive, got {sigma}")
+        var = sigma * sigma  # sigma**2 would raise OverflowError past the range
+        if not (sigma > 0 and 0.0 < var < math.inf and 1.0 / var < math.inf):
+            raise ConfigurationError(
+                f"sigma must lie in about 7.5e-155 to 1.3e154, where sigma^2 and "
+                f"1/sigma^2 are positive and finite, got {sigma}"
+            )
         self.sigma = float(sigma)
 
     def mean(self, theta: float) -> float:

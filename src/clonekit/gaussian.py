@@ -37,7 +37,7 @@ failed allocation.
 from __future__ import annotations
 
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,34 +262,22 @@ def _tv_monte_carlo(
     """`tv_monte_carlo` without its checks.
 
     Draws one integer ``w`` from ``rng`` and scores the p side on
-    ``stream(w, "tv-mc", 0)`` in the calling thread while a helper thread
-    scores the q side on ``stream(w, "tv-mc", 1)``.  Each side is a pure
-    function of its own stream, so the result does not depend on the
-    scheduling.  Both streams are built before the helper starts, and the
-    helper calls only `_shortfall`: `perfbench/tracer.py` wraps `stream`, and
-    its span stack is single-threaded.  An exception on either side is
-    raised here once the helper has been joined.  The tracer hooks this name
-    and reads ``budget`` positionally.
+    ``stream(w, "tv-mc", 0)`` in the calling thread while a one-worker
+    executor scores the q side on ``stream(w, "tv-mc", 1)``.  Each side is a
+    pure function of its own stream, so the result does not depend on the
+    scheduling.  Both streams are built before the submit, and the helper
+    calls only `_shortfall`: `perfbench/tracer.py` wraps `stream`, and its
+    span stack is single-threaded.  Leaving the executor joins the helper
+    before an exception on either side propagates; the q side's is raised
+    by its future.  The tracer hooks this name and reads ``budget``
+    positionally.
     """
     w = int(rng.integers(1 << 63))
     p_rng, q_rng = streams.stream(w, "tv-mc", 0), streams.stream(w, "tv-mc", 1)
-    q_side: list = [None]
-
-    def score_q() -> None:
-        try:
-            q_side[0] = _shortfall(q, p, q_rng, budget)
-        except BaseException as exc:  # raised again in the calling thread
-            q_side[0] = exc
-
-    helper = threading.Thread(target=score_q, name="tv-mc-q")
-    helper.start()
-    try:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="tv-mc-q") as helper:
+        q_side = helper.submit(_shortfall, q, p, q_rng, budget)
         mean_a, var_a = _shortfall(p, q, p_rng, budget)
-    finally:
-        helper.join()
-    if isinstance(q_side[0], BaseException):
-        raise q_side[0]
-    mean_b, var_b = q_side[0]
+    mean_b, var_b = q_side.result()
     value = float(mean_a + mean_b)
     se = math.sqrt(var_a / budget + var_b / budget)
     return value, se
@@ -327,30 +315,33 @@ def _shortfall(
     draws = np.empty((min(budget, _BLOCK), p.dim))
     gaps, w, term = np.empty((3, len(draws)))
     mean = m2 = 0.0
-    for start in range(0, budget, _BLOCK):
-        z = rng.standard_normal(out=draws[:budget - start])
-        k = len(z)
-        gap, w_k, term_k = gaps[:k], w[:k], term[:k]
-        gap.fill(0.0)  # |z|^2 - |A z + b|^2, one coordinate at a time
-        for i in range(p.dim):
-            np.multiply(z[:, i], a_mat[i, i], out=w_k)
-            for j in range(i):
-                w_k += np.multiply(z[:, j], a_mat[i, j], out=term_k)
-            w_k += b[i]
-            gap += np.square(z[:, i], out=term_k)
-            gap -= np.square(w_k, out=w_k)
-        # gap becomes log(q/p), then the shortfall, in place
-        gap *= 0.5
-        gap += log_det
-        np.exp(gap, out=gap)
-        np.subtract(1.0, gap, out=gap)
-        np.maximum(gap, 0.0, out=gap)
-        block_mean = np.add.reduce(gap) / k
-        np.subtract(gap, block_mean, out=term_k)
-        block_m2 = np.add.reduce(np.square(term_k, out=term_k))
-        delta = block_mean - mean
-        mean += delta * (k / (start + k))
-        m2 += block_m2 + delta * delta * (start * k / (start + k))
+    # |A z + b|^2 or exp(gap) can overflow (r = 1e308 does); q/p is then 0
+    # or inf and the shortfall still right.  The error state is per thread.
+    with np.errstate(over="ignore"):
+        for start in range(0, budget, _BLOCK):
+            z = rng.standard_normal(out=draws[:budget - start])
+            k = len(z)
+            gap, w_k, term_k = gaps[:k], w[:k], term[:k]
+            gap.fill(0.0)  # |z|^2 - |A z + b|^2, one coordinate at a time
+            for i in range(p.dim):
+                np.multiply(z[:, i], a_mat[i, i], out=w_k)
+                for j in range(i):
+                    w_k += np.multiply(z[:, j], a_mat[i, j], out=term_k)
+                w_k += b[i]
+                gap += np.square(z[:, i], out=term_k)
+                gap -= np.square(w_k, out=w_k)
+            # gap becomes log(q/p), then the shortfall, in place
+            gap *= 0.5
+            gap += log_det
+            np.exp(gap, out=gap)
+            np.subtract(1.0, gap, out=gap)
+            np.maximum(gap, 0.0, out=gap)
+            block_mean = np.add.reduce(gap) / k
+            np.subtract(gap, block_mean, out=term_k)
+            block_m2 = np.add.reduce(np.square(term_k, out=term_k))
+            delta = block_mean - mean
+            mean += delta * (k / (start + k))
+            m2 += block_m2 + delta * delta * (start * k / (start + k))
     return float(mean), float(m2 / budget)
 
 

@@ -154,6 +154,12 @@ class TestJsonFormat:
         assert "wall_clock_s" in doc and "version" in doc
         assert len(doc["results"]) == 4
 
+    def test_no_partial_key(self, tmp_path):
+        # a report is written only for a run that finished
+        out = tmp_path / "r.json"
+        assert run_cli(["tv", "--format", "json", "--out", str(out)]) == 0
+        assert "partial" not in json.loads(out.read_text())
+
     def test_every_experiment_writes_strict_json(self, tmp_path):
         # bare NaN or Infinity is not JSON: a non-finite value is written null
         ini = tmp_path / "tiny.ini"
@@ -206,14 +212,14 @@ class TestEmitReport:
 
     def test_empty_results_guard(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            emit_report([], self._cfg(tmp_path), partial=False, wall_clock=0.0)
+            emit_report([], self._cfg(tmp_path), wall_clock=0.0)
 
     def test_csv_shape(self, tmp_path):
         cfg = self._cfg(tmp_path)
         text = emit_report(
             [{"metric": "a", "value": 1.5}, {"metric": "b", "value": 2.5},
              {"metric": "c", "value": 0.125}],
-            cfg, partial=False, wall_clock=0.0,
+            cfg, wall_clock=0.0,
         )
         data = [ln for ln in text.splitlines() if not ln.startswith("#")]
         assert data[0] == "metric,value"
@@ -222,24 +228,25 @@ class TestEmitReport:
     def test_json_round_trip(self, tmp_path):
         cfg = self._cfg(tmp_path, fmt="json")
         rows = [{"metric": "a", "value": 0.1 + 0.2}]
-        text = emit_report(rows, cfg, partial=False, wall_clock=0.5)
+        text = emit_report(rows, cfg, wall_clock=0.5)
         assert json.loads(text)["results"] == rows
 
     def test_unwritable_path_exits_2(self, capsys):
         code = run_cli(["tv", "--out", "/nonexistent-dir/x.csv"])
         assert code == 2
 
-    def test_numerical_failure_exits_3_with_partial_report(self, tmp_path, monkeypatch):
+    def test_iteration_limit_exits_3_without_report(self, tmp_path, monkeypatch):
+        # an LP stopped at its iteration limit takes the one numerical path
         import clonekit.cli as climod
 
-        def broken_runner(cfg):
-            return [{"lp_value": 0.1, "lp_status": "iteration_limit"}], False
+        def stopped_runner(cfg):
+            raise NumericalError("iteration limit")
 
-        monkeypatch.setitem(climod._RUNNERS, "deficiency", broken_runner)
+        monkeypatch.setitem(climod._RUNNERS, "deficiency", stopped_runner)
         out = tmp_path / "d.csv"
         code = run_cli(["deficiency", "--out", str(out)])
         assert code == 3
-        assert "# PARTIAL" in out.read_text()
+        assert not out.exists()
 
     def test_library_configuration_error_exits_2_without_report(self, tmp_path, capsys):
         # 250 edges give 249 x 249 kernel variables, over the LP size cap
@@ -428,6 +435,32 @@ class TestInvalidInput:
         assert says in err and "Traceback" not in err
         assert not out.exists()
         assert peak < 4 * 2**20  # numpy reports its buffers to tracemalloc
+
+    # a sigma or theta inside its domain whose sigma^2 or Fisher information
+    # leaves the float range is a configuration error, not a traceback or NaN
+    @pytest.mark.parametrize("experiment,section,says", [
+        ("lan-diag", "family = gauss-loc\nfamily_sigma = 1e-170\ntheta = 0",
+         "got 1e-170"),
+        ("coupling", "family = gauss-loc\nfamily_sigma = 1e160\ntheta = 0",
+         "got 1e+160"),
+        ("coupling", "family = gauss-loc\nfamily_sigma = 1e-160\ntheta = 0",
+         "got 1e-160"),
+        ("coupling", "family = poisson\ntheta = 1e-320", "theta=1e-320"),
+        ("lan-diag", "family = bernoulli\ntheta = 1e-320", "theta=1e-320"),
+    ], ids=[
+        "lan-diag-sigma-underflow", "coupling-sigma-overflow",
+        "coupling-sigma-subnormal", "coupling-poisson-fisher-overflow",
+        "lan-diag-bernoulli-fisher-overflow",
+    ])
+    def test_float_range_edge_exits_2(self, tmp_path, capsys, experiment, section, says):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[{experiment}]\n{section}\n")
+        out = tmp_path / "x.csv"
+        code = run_cli([experiment, "--config", str(ini), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and says in err
+        assert not out.exists()
 
     def test_ini_without_section_header_exits_2(self, tmp_path, capsys):
         ini = tmp_path / "cfg.ini"

@@ -254,6 +254,42 @@ class TestLpDeficiency:
                 res.crossover_iters) == (0, 0, 0, 0)
         assert kernel_objective(res.kernel, src, tgt) == 0.0
 
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 4.0])
+    def test_near_identical_pair_takes_the_identity(self, monkeypatch, a):
+        # at r = 1 + 1e-12 the identity kernel scores 2e-13 to 1.6e-12, and
+        # HiGHS ends such a solve with an unknown status
+        import clonekit.deficiency as deficiency_module
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr(deficiency_module, "linprog", no_solve)
+        src, tgt = discretize_gaussian_pair(symmetric_shifts(a, 0.5), 1.0,
+                                            1.000000000001, GridSpec(-10, 10, 201))
+        assert not np.array_equal(src.probs, tgt.probs)
+        res = lp_deficiency(src, tgt)
+        assert res.value == identity_objective(src, tgt) <= 1e-9
+        assert res.value > 0.0 and res.lp_status == "optimal"
+        assert np.array_equal(res.kernel, np.eye(200))
+        assert kernel_objective(res.kernel, src, tgt) == res.value
+        assert (res.kernel_vars, res.pricing_rounds, res.simplex_or_ipm_iters,
+                res.crossover_iters) == (0, 0, 0, 0)
+
+    def test_iteration_limit_is_a_numerical_error(self, monkeypatch):
+        # HiGHS's status 1 is the iteration limit: the optimum is uncertified
+        import clonekit.deficiency as deficiency_module
+
+        def stopped(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            res.status, res.message = 1, "Iteration limit reached."
+            return res
+
+        monkeypatch.setattr(deficiency_module, "linprog", stopped)
+        src = np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
+        tgt = np.array([[0.5, 0.5], [0.25, 0.75]])
+        with pytest.raises(NumericalError, match="Iteration limit"):
+            _priced_solve(src, tgt, np.ones((3, 2), dtype=bool))
+
     @pytest.mark.parametrize("value", [-1e-6, math.nan])
     def test_negative_value_is_a_numerical_error(self, value):
         # a post-condition on the solver's result, not the caller's mistake

@@ -14,6 +14,7 @@ from scipy import stats
 
 from clonekit import (
     Bernoulli,
+    ConfigurationError,
     GaussianLocation,
     Poisson,
     chi2_cdf,
@@ -134,6 +135,21 @@ class TestFisher:
         n = scores.size
         tol = 4 * np.square(scores).std() / math.sqrt(n) + 20 * family.fisher(theta) / n
         assert abs(scores.var() - family.fisher(theta)) < tol
+
+    def test_gaussian_sigma_outside_the_float_range(self):
+        # sigma^2 underflows, is subnormal (1 / sigma^2 = inf) or overflows
+        for sigma in (1e-170, 1e-160, 1e160):
+            with pytest.raises(ConfigurationError, match="sigma"):
+                GaussianLocation(sigma)
+        for sigma in (7.5e-155, 1.3e154):  # the ends of the usable range
+            assert math.isfinite(GaussianLocation(sigma).fisher(0.0))
+
+    @pytest.mark.parametrize("family", [Bernoulli(), Poisson()])
+    def test_infinite_information_refused(self, family):
+        # 1e-320 is inside the domain, but 1 / theta is inf
+        with pytest.raises(ConfigurationError, match="theta=1e-320"):
+            family.fisher(1e-320)
+        assert family.fisher(1e-300) == pytest.approx(1e300)
 
 
 class TestSampling:

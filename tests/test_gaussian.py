@@ -445,6 +445,14 @@ class TestMonteCarloSides:
             tv_monte_carlo(p, q, 10 * _BLOCK, stream(25, "side-error"))
         assert threading.active_count() == before
 
+    def test_overflowing_ratio_warns_nothing(self):
+        # on the q side |A z|^2 passes the float range, so q/p is 0 there
+        p = GaussianShift([0.0], [[1.0]])
+        q = GaussianShift([0.0], [[1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tv_monte_carlo(p, q, 1000, stream(27, "overflow")) == (2.0, 0.0)
+
     def test_rng_advance_does_not_depend_on_budget(self):
         # the caller's generator gives one integer, whatever the budget
         p, q = self._pair(1)
