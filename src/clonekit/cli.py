@@ -3,17 +3,18 @@
 Usage: ``clonekit <experiment> [--config FILE] [--seed N] [--workers N]
 [--out PATH] [--format csv|json]``.
 
-The config file is INI-style with one section per experiment id; command-line
-flags override file values, file values override built-in defaults.  `_KEYS`
-gives every key its default text and parser; `resolve_config` parses each key
+The config file is INI-style with one section per experiment id, holding
+experiment keys only; the run settings (seed, output path, format) are flags.
+`_KEYS` is the whole INI grammar: it gives every key its default text and
+parser, and any other key is an error.  `resolve_config` parses each key
 once, before any run, and runners read the parsed ``cfg.values``.  Reports
 echo the raw text, ``cfg.params``.  All randomness flows through
 counter-based streams keyed by the seed and the experiment's own path, so
 identical (config, seed) pairs produce byte-identical CSV on one platform.
-``--workers`` is accepted and echoed in JSON reports, but every experiment
-runs in one process, so it cannot change a number.  The Monte Carlo L1 route
-(`gaussian.tv_monte_carlo`) scores its two sides on two threads whatever
-``--workers`` says, and no number depends on that either.
+``--workers`` is accepted and ignored: every experiment runs in one process,
+so it cannot change a number, and no report records it.  The Monte Carlo L1
+route (`gaussian.tv_monte_carlo`) scores its two sides on two threads, and no
+number depends on that either.
 
 Exit codes: 0 success, 2 configuration error (`ConfigurationError`, from
 `_param` or the library's checks), 3 numerical failure (`NumericalError`);
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import amplifier, cloner, deficiency, gaussian, lan
+from . import __version__, amplifier, cloner, deficiency, gaussian, lan
 from .errors import ConfigurationError, NumericalError
 from .families import GaussianLocation, get_family
 from .streams import stream
@@ -112,7 +113,6 @@ class ExperimentConfig:
     experiment: str
     params: dict  # each key's text, as the report echoes it
     seed: int
-    workers: int
     out: str | None
     fmt: str
     values: dict = field(default_factory=dict)  # each key's parsed value
@@ -141,7 +141,6 @@ def resolve_config(
     experiment: str,
     config_path: str | None,
     seed: int | None,
-    workers: int | None,
     out: str | None,
     fmt: str | None,
 ) -> ExperimentConfig:
@@ -151,7 +150,6 @@ def resolve_config(
         )
     keys = _KEYS[experiment]
     params = {key: text for key, (text, _) in keys.items()}
-    file_seed = file_workers = file_out = file_fmt = None
     if config_path is not None:
         parser = configparser.ConfigParser()
         try:
@@ -162,30 +160,20 @@ def resolve_config(
         if not read:
             raise ConfigurationError(f"config file {config_path!r} not readable")
         for key, value in section.items():
-            if key == "seed":
-                file_seed = _param(section, key, int)
-            elif key == "workers":
-                file_workers = _param(section, key, int)
-            elif key == "out":
-                file_out = value
-            elif key == "format":
-                file_fmt = value
-            elif key in params:
-                params[key] = value
-            else:
+            if key not in params:
                 raise ConfigurationError(
                     f"unknown key {key!r} for experiment {experiment!r}"
                 )
-    fmt_final = fmt or file_fmt or "csv"
-    if fmt_final not in ("csv", "json"):
-        raise ConfigurationError(f"format must be csv or json, got {fmt_final!r}")
+            params[key] = value
+    fmt = fmt or "csv"
+    if fmt not in ("csv", "json"):
+        raise ConfigurationError(f"format must be csv or json, got {fmt!r}")
     return ExperimentConfig(
         experiment=experiment,
         params=params,
-        seed=seed if seed is not None else (file_seed if file_seed is not None else 1234),
-        workers=workers if workers is not None else (file_workers or os.cpu_count() or 1),
-        out=out or file_out,
-        fmt=fmt_final,
+        seed=1234 if seed is None else seed,
+        out=out,
+        fmt=fmt,
         values={key: _param(params, key, parse) for key, (_, parse) in keys.items()},
     )
 
@@ -374,11 +362,7 @@ def _version_string() -> str:
             return out.stdout.strip()
     except OSError:
         pass
-    try:
-        from importlib.metadata import version
-        return version("clonekit")
-    except Exception:
-        return "unknown"
+    return __version__
 
 
 def emit_report(rows: list[dict], cfg: ExperimentConfig, wall_clock: float) -> str:
@@ -403,7 +387,7 @@ def emit_report(rows: list[dict], cfg: ExperimentConfig, wall_clock: float) -> s
 def _config_echo(cfg: ExperimentConfig) -> dict:
     return {
         **cfg.params, "experiment": cfg.experiment, "seed": cfg.seed,
-        "workers": cfg.workers, "format": cfg.fmt,
+        "format": cfg.fmt,
     }
 
 
@@ -415,8 +399,7 @@ def _render_csv(rows: list[dict], cfg: ExperimentConfig) -> str:
         f"# columns: {', '.join(columns)}",
     ]
     for key, value in sorted(_config_echo(cfg).items()):
-        if key not in ("workers",):  # workers cannot change numbers
-            lines.append(f"# config {key} = {value}")
+        lines.append(f"# config {key} = {value}")
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt_value(row.get(c, "")) for c in columns))
@@ -456,14 +439,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("experiment", help=f"one of: {', '.join(EXPERIMENTS)}")
     parser.add_argument("--config", help="INI file with a section per experiment")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=int, help="accepted and ignored")
     parser.add_argument("--out", default=None, help="report path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(
-            args.experiment, args.config, args.seed, args.workers,
-            args.out, args.format,
+            args.experiment, args.config, args.seed, args.out, args.format
         )
         return run_experiment(cfg)
     except ConfigurationError as exc:

@@ -534,7 +534,9 @@ def _smoothed_tent(x: np.ndarray, sd: float) -> np.ndarray:
         return tent
     edges = np.concatenate((x[:, :1] + 1.0, x, x[:, -1:] - 1.0), axis=1)
     m = -np.abs(edges) / sd
-    tail = sd * (m * ndtr(m) + _INV_SQRT_2PI * np.exp(-0.5 * m * m))
+    # at a tiny sd, m * m can overflow; its exp is then 0, as it should be
+    with np.errstate(over="ignore"):
+        tail = sd * (m * ndtr(m) + _INV_SQRT_2PI * np.exp(-0.5 * m * m))
     return tent + tail[:, :-2] - 2.0 * tail[:, 1:-1] + tail[:, 2:]
 
 

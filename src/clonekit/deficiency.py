@@ -148,7 +148,9 @@ def gaussian_cell_masses(mean: float, sd: float, edges: np.ndarray) -> np.ndarra
     mass beyond the end edges must be below 1e-5 and is folded into the end
     cells before renormalizing.
     """
-    z = (edges - mean) / sd
+    # at a subnormal sd the offsets overflow to +-inf, whose ndtr is exact
+    with np.errstate(over="ignore"):
+        z = (edges - mean) / sd
     cdf = ndtr(z)
     masses = np.diff(cdf)
     outside = cdf[0] + (1.0 - cdf[-1])
@@ -184,7 +186,10 @@ def symmetric_shifts(a: float, step: float) -> list[float]:
     """
     if not step > 0:
         raise ConfigurationError(f"h_step must be positive, got {step}")
-    count = int(math.floor(a / step + 1e-9))
+    ratio = a / step
+    if not math.isfinite(ratio):
+        raise ConfigurationError(f"a = {a} at h_step = {step}: a / h_step overflows")
+    count = int(math.floor(ratio + 1e-9))
     if 2 * count + 1 > _DEVIATION_ROW_CAP:
         raise ConfigurationError(
             f"a = {a} at h_step = {step} gives {2 * count + 1} shifts, "

@@ -333,8 +333,9 @@ class Poisson(Family):
     def stat_pmf(self, theta, n):
         self.require_in_domain(theta)
         lam = n * theta
-        hi = int(lam + 14.0 * math.sqrt(lam) + 30.0)
-        self.require_cells(hi + 1, n)
+        bound = lam + 14.0 * math.sqrt(lam) + 30.0
+        self.require_cells(bound + 1.0, n)  # before int(), which fails on inf
+        hi = int(bound)
         k = np.arange(hi + 1)
         logp = k * math.log(lam) - lam - gammaln(k + 1.0)
         p = np.exp(logp)

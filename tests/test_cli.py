@@ -35,34 +35,36 @@ class TestConfigResolution:
         assert "configuration error" in capsys.readouterr().err
 
     def test_defaults(self):
-        cfg = resolve_config("tv", None, None, None, None, None)
+        cfg = resolve_config("tv", None, None, None, None)
         assert cfg.seed == 1234 and cfg.fmt == "csv"
         assert cfg.params["r"] == "2.0"
 
-    def test_file_and_flag_precedence(self, tmp_path):
+    def test_run_settings_are_flags_only(self, tmp_path, capsys):
+        # an INI section holds experiment keys only
         ini = tmp_path / "cfg.ini"
-        ini.write_text("[tv]\nr = 3.0\nseed = 77\nformat = json\n")
-        cfg = resolve_config("tv", str(ini), None, None, None, None)
-        assert cfg.params["r"] == "3.0" and cfg.seed == 77 and cfg.fmt == "json"
-        # flags win over the file
-        cfg = resolve_config("tv", str(ini), 5, None, None, "csv")
-        assert cfg.seed == 5 and cfg.fmt == "csv"
+        for key in ("seed", "workers", "out", "format"):
+            ini.write_text(f"[tv]\nr = 3.0\n{key} = 7\n")
+            assert run_cli(["tv", "--config", str(ini)]) == 2
+            assert f"unknown key {key!r}" in capsys.readouterr().err
+        ini.write_text("[tv]\nr = 3.0\n")
+        cfg = resolve_config("tv", str(ini), 5, None, "json")
+        assert cfg.params["r"] == "3.0" and cfg.seed == 5 and cfg.fmt == "json"
 
     def test_unknown_key_rejected(self, tmp_path):
         ini = tmp_path / "cfg.ini"
         ini.write_text("[tv]\nbogus = 1\n")
         with pytest.raises(ConfigurationError):
-            resolve_config("tv", str(ini), None, None, None, None)
+            resolve_config("tv", str(ini), None, None, None)
 
     def test_missing_file(self):
         with pytest.raises(ConfigurationError):
-            resolve_config("tv", "/nonexistent.ini", None, None, None, None)
+            resolve_config("tv", "/nonexistent.ini", None, None, None)
 
 
 class TestKeyTable:
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_every_default_parses(self, experiment):
-        cfg = resolve_config(experiment, None, None, None, None, None)
+        cfg = resolve_config(experiment, None, None, None, None)
         assert cfg.values.keys() == cfg.params.keys()
 
     def test_table_and_runners_name_the_experiments(self):
@@ -77,7 +79,7 @@ class TestKeyTable:
     def test_boolean_words(self, tmp_path, text, value):
         ini = tmp_path / "cfg.ini"
         ini.write_text(f"[deficiency]\nreport_identity = {text}\n")
-        cfg = resolve_config("deficiency", str(ini), None, None, None, None)
+        cfg = resolve_config("deficiency", str(ini), None, None, None)
         assert cfg.values["report_identity"] is value
         assert cfg.params["report_identity"] == text
 
@@ -154,6 +156,15 @@ class TestJsonFormat:
         assert "wall_clock_s" in doc and "version" in doc
         assert len(doc["results"]) == 4
 
+    def test_workers_is_not_echoed(self, tmp_path):
+        # --workers is accepted and changes nothing, so no report records it
+        out = tmp_path / "r.json"
+        assert run_cli(["tv", "--workers", "3", "--format", "json",
+                        "--out", str(out)]) == 0
+        assert set(json.loads(out.read_text())["config"]) == {
+            "budget", "experiment", "format", "m", "r", "routes", "seed",
+        }
+
     def test_no_partial_key(self, tmp_path):
         # a report is written only for a run that finished
         out = tmp_path / "r.json"
@@ -206,7 +217,7 @@ class TestJsonFormat:
 class TestEmitReport:
     def _cfg(self, tmp_path, fmt="csv"):
         return ExperimentConfig(
-            experiment="tv", params={}, seed=1, workers=1,
+            experiment="tv", params={}, seed=1,
             out=str(tmp_path / f"out.{fmt}"), fmt=fmt,
         )
 
@@ -447,10 +458,15 @@ class TestInvalidInput:
          "got 1e-160"),
         ("coupling", "family = poisson\ntheta = 1e-320", "theta=1e-320"),
         ("lan-diag", "family = bernoulli\ntheta = 1e-320", "theta=1e-320"),
+        # n theta overflows: the statistic law's bound is inf
+        ("lan-diag", "family = poisson\ntheta = 1e308", "inf cells, over the cap"),
+        ("clone-sim", "family = poisson\ntheta = 1e307", "inf cells, over the cap"),
+        ("deficiency", "h_step = 1e-320\na_list = 1", "a / h_step overflows"),
     ], ids=[
         "lan-diag-sigma-underflow", "coupling-sigma-overflow",
         "coupling-sigma-subnormal", "coupling-poisson-fisher-overflow",
-        "lan-diag-bernoulli-fisher-overflow",
+        "lan-diag-bernoulli-fisher-overflow", "lan-diag-poisson-bound-overflow",
+        "clone-sim-poisson-bound-overflow", "deficiency-shift-ratio-overflow",
     ])
     def test_float_range_edge_exits_2(self, tmp_path, capsys, experiment, section, says):
         ini = tmp_path / "cfg.ini"

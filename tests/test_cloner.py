@@ -835,6 +835,16 @@ class TestExactCountLaw:
             clone_loss_exact(Bernoulli(), 0.5, cfg)
         assert "clone_loss_exact: clip rate" in caplog.text
 
+    def test_subnormal_epsilon_matches_a_tiny_one(self):
+        # the tent's sd is about 2e-159: m * m overflows, and exp takes it to 0
+        losses = [
+            clone_loss_exact(Bernoulli(), 0.3, ClonerConfig(
+                n=100, r=2.0, delta=0.05, epsilon=epsilon, seed=1,
+            )).loss
+            for epsilon in (1e-320, 1e-300)
+        ]
+        assert losses[0] == losses[1]
+
     def test_continuous_family_rejected(self):
         cfg = ClonerConfig(n=16, r=1.0, delta=0.1, epsilon=0.0, seed=13)
         with pytest.raises(ConfigurationError, match="discrete family"):

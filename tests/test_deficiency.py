@@ -129,6 +129,11 @@ class TestCellMasses:
         with pytest.raises(ConfigurationError):
             gaussian_cell_masses(0.0, 1.0, np.linspace(-2, 2, 10))
 
+    def test_subnormal_sd_is_a_point_mass(self):
+        # the offsets overflow to +-inf, whose ndtr is exact
+        masses = gaussian_cell_masses(0.0, 1e-320, np.array([-1.0, -0.5, 0.5, 1.0]))
+        assert masses.tolist() == [0.0, 1.0, 0.0]
+
 
 class TestDiscretize:
     def test_zero_shift_rows_identical(self):
